@@ -488,8 +488,7 @@ int run_node(const Options& o) {
                                    geo, root.stream_info(), nullptr);
       host.run();
     });
-    while (shared.splitters_done.load(std::memory_order_acquire) < 1)
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    shared.wait_done(shared.splitters_done, 1);
     std::this_thread::sleep_for(
         std::chrono::milliseconds(int(o.linger_s * 1000)));
     fabric.shutdown();
@@ -516,8 +515,7 @@ int run_node(const Options& o) {
                                   on_display, &display_mu, dopts, nullptr);
       host.run(uint32_t(total_pictures));
     });
-    while (shared.decoders_done.load(std::memory_order_acquire) < 1)
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    shared.wait_done(shared.decoders_done, 1);
     std::this_thread::sleep_for(
         std::chrono::milliseconds(int(o.linger_s * 1000)));
     fabric.shutdown();

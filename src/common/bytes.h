@@ -11,6 +11,23 @@
 
 namespace pdw {
 
+// Explicit little-endian stores and loads at a raw pointer, for fixed-layout
+// datagram headers. Byte-wise, so the wire order never depends on the host's.
+inline void store_le16(uint8_t* p, uint16_t v) {
+  p[0] = uint8_t(v);
+  p[1] = uint8_t(v >> 8);
+}
+inline void store_le32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = uint8_t(v >> (8 * i));
+}
+inline uint16_t load_le16(const uint8_t* p) {
+  return uint16_t(p[0] | (p[1] << 8));
+}
+inline uint32_t load_le32(const uint8_t* p) {
+  return uint32_t(p[0]) | (uint32_t(p[1]) << 8) | (uint32_t(p[2]) << 16) |
+         (uint32_t(p[3]) << 24);
+}
+
 // Two modes: append to a growable vector, or write into a fixed-capacity
 // raw buffer (the pooled-serialization path, where the caller sized the
 // buffer exactly via the *_wire_bytes() helpers and overflow is a bug).

@@ -1,5 +1,6 @@
 #include "core/hosts.h"
 
+#include <chrono>
 #include <optional>
 #include <utility>
 
@@ -11,6 +12,57 @@ namespace pdw::core {
 
 using proto::AnyMsg;
 using proto::Outgoing;
+
+void HostShared::mark_done(std::atomic<int>& counter) {
+  {
+    std::lock_guard<std::mutex> lock(done_mu_);
+    counter.fetch_add(1, std::memory_order_release);
+  }
+  done_cv_.notify_all();
+}
+
+void HostShared::wait_done(const std::atomic<int>& counter, int n) {
+  std::unique_lock<std::mutex> lock(done_mu_);
+  done_cv_.wait(lock, [&] {
+    return counter.load(std::memory_order_acquire) >= n;
+  });
+}
+
+void finish_wall(HostShared& shared, int tiles, int root,
+                 net::FabricBackend& root_fabric,
+                 std::span<net::FabricBackend* const> fabrics,
+                 std::thread& root_thread,
+                 std::vector<std::thread>& node_threads) {
+  // Decoders stay resident (t-acking) after finishing, so completion is
+  // signalled by a counter rather than join: every decoder thread counts
+  // itself done exactly once, whether it finished the stream or was killed.
+  shared.wait_done(shared.decoders_done, tiles);
+  shared.root_stop.store(true);
+  root_fabric.wake(root);
+  root_thread.join();
+  // The root consumed every finished notice before exiting; what remains in
+  // flight is the tail of transport acks. Let it be consumed so shutdown
+  // discards nothing (keeps traffic accounting conserved). Consuming at one
+  // node can queue an ack at another, so repeat until one pass finds every
+  // fabric drained.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
+  auto remaining = [&] {
+    return std::chrono::duration<double>(deadline -
+                                         std::chrono::steady_clock::now())
+        .count();
+  };
+  for (bool waited = true; waited && remaining() > 0;) {
+    waited = false;
+    for (net::FabricBackend* f : fabrics) {
+      if (f->quiescent()) continue;
+      waited = true;
+      f->wait_quiescent(remaining());
+    }
+  }
+  for (net::FabricBackend* f : fabrics) f->shutdown();
+  for (std::thread& th : node_threads) th.join();
+}
 
 void accumulate_transport(net::ReliableStats* into,
                           const net::ReliableStats& s) {
@@ -159,7 +211,10 @@ void RootHost::run() {
   // Phase B: keep the health monitor (and our transport) alive until every
   // decoder thread has been joined — a decoder blocked on a dead peer is
   // unblocked by a death notice that only this loop can produce. Exit only
-  // once every decoder is accounted for (finished or declared dead).
+  // once every decoder is accounted for (finished or declared dead). The
+  // pump timeout is the monitor's tick; the exit itself is prompt, because
+  // the last finished notice wakes the receive and so does the wake() that
+  // follows root_stop.
   while (!shared.root_stop.load() || !node.all_reported()) pump(0.01);
   shared.ep_stats[size_t(topo.root())] = ep.stats();
 }
@@ -284,7 +339,7 @@ void SplitterHost::run() {
 
   // Drain: ack decoders' final picture acks and absorb stragglers until
   // the main thread shuts the fabric down.
-  shared.splitters_done.fetch_add(1, std::memory_order_release);
+  shared.mark_done(shared.splitters_done);
   while (true) {
     net::Message m;
     const auto st = ep.recv(&m, 0.02);
@@ -528,7 +583,7 @@ void DecoderHost::run(uint32_t total_pictures) {
       if (decs.count(ot.tile)) dec(ot.tile).flush(display_fn(ot.tile));
     apply({node.finished(), {}, std::nullopt});
   }
-  shared.decoders_done.fetch_add(1, std::memory_order_release);
+  shared.mark_done(shared.decoders_done);
   // Stay resident until fabric shutdown: retransmit our own unacked tail
   // (last ack, finished notice, trailing exchanges) and keep t-acking
   // peers' retransmissions — a peer whose ack to us was lost would

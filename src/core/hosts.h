@@ -18,10 +18,13 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include "common/timing.h"
@@ -70,7 +73,35 @@ struct HostShared {
   std::atomic<int> splitters_done{0};
   std::mutex acct_mu;  // guards acct
   proto::WireAccounting acct;
+
+  // Count one host done on `counter` (decoders_done or splitters_done) and
+  // wake every wait_done() caller.
+  void mark_done(std::atomic<int>& counter);
+  // Block until `counter` reaches n.
+  void wait_done(const std::atomic<int>& counter, int n);
+
+ private:
+  std::mutex done_mu_;
+  std::condition_variable done_cv_;
 };
+
+// The orderly end of a wall whose node hosts all run on threads of this
+// process (ClusterPipeline::run and run_socket_wall). `fabrics` lists every
+// backend the hosts use (one shared in-process Fabric, or one SocketFabric
+// per node); `root_fabric` is the one the root host receives on. Each step
+// ends on the event it waits for:
+//   1. every decoder thread counted itself done (finished or killed);
+//   2. root_stop plus a wake of the root's receive ends the root's health
+//      monitor loop, and the root thread is joined;
+//   3. the tail of transport acks drains, within a 250 ms bound: real
+//      sockets may lose some, and fault-delayed messages may never land;
+//   4. every fabric shuts down, which releases the resident node loops,
+//      and the node threads are joined.
+void finish_wall(HostShared& shared, int tiles, int root,
+                 net::FabricBackend& root_fabric,
+                 std::span<net::FabricBackend* const> fabrics,
+                 std::thread& root_thread,
+                 std::vector<std::thread>& node_threads);
 
 void accumulate_transport(net::ReliableStats* into,
                           const net::ReliableStats& s);

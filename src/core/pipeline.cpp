@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -72,19 +71,17 @@ ClusterStats ClusterPipeline::run(const TileDisplayFn& on_display) {
     host.run();
   });
 
-  std::vector<std::thread> splitter_threads;
+  std::vector<std::thread> node_threads;
   for (int s = 0; s < k_; ++s) {
-    splitter_threads.emplace_back([&, s] {
+    node_threads.emplace_back([&, s] {
       SplitterHost host(&fabric, &shared, topo_, s, cfg.reliable, geo_,
                         root.stream_info(), ft_.metrics,
                         ft_.adaptive.enabled);
       host.run();
     });
   }
-
-  std::vector<std::thread> decoder_threads;
   for (int t = 0; t < tiles; ++t) {
-    decoder_threads.emplace_back([&, t] {
+    node_threads.emplace_back([&, t] {
       proto::DecoderNode::Options dopts;
       dopts.heartbeat_interval_s = cfg.heartbeat_interval_s;
       dopts.total_pictures = uint32_t(total_pictures);
@@ -95,25 +92,9 @@ ClusterStats ClusterPipeline::run(const TileDisplayFn& on_display) {
     });
   }
 
-  // Decoders stay resident (t-acking) after finishing, so completion is
-  // signalled by a counter rather than join: every decoder thread counts
-  // itself done exactly once, whether it finished the stream or was killed.
-  while (shared.decoders_done.load(std::memory_order_acquire) < tiles)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  shared.root_stop.store(true);
-  root_thread.join();
-  // The root consumed every finished notice before exiting; what remains in
-  // flight is the tail of transport acks. Give those a bounded window to be
-  // consumed so shutdown discards nothing (keeps traffic accounting
-  // conserved); fault-delayed messages may legitimately never drain.
-  const auto drain_start = std::chrono::steady_clock::now();
-  while (!fabric.quiescent() &&
-         std::chrono::steady_clock::now() - drain_start <
-             std::chrono::milliseconds(250))
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  fabric.shutdown();
-  for (auto& th : decoder_threads) th.join();
-  for (auto& th : splitter_threads) th.join();
+  net::FabricBackend* const fabrics[] = {&fabric};
+  finish_wall(shared, tiles, topo_.root(), fabric, fabrics, root_thread,
+              node_threads);
 
   ClusterStats stats;
   stats.pictures = total_pictures;

@@ -1,7 +1,6 @@
 #include "core/socket_wall.h"
 
 #include <algorithm>
-#include <chrono>
 #include <future>
 #include <memory>
 #include <thread>
@@ -157,25 +156,10 @@ ClusterStats run_socket_wall(const wall::TileGeometry& geo, int k,
     map_promise.set_value(rv.map());
   }
 
-  while (shared.decoders_done.load(std::memory_order_acquire) < tiles)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  shared.root_stop.store(true);
-  root_thread.join();
-  // Bounded drain before shutdown, as in the threaded pipeline: let the
-  // tail of transport acks land (or time out — real sockets may genuinely
-  // have lost them).
-  const auto drain_start = std::chrono::steady_clock::now();
-  auto all_quiescent = [&] {
-    for (const auto& f : fabrics)
-      if (!f->quiescent()) return false;
-    return true;
-  };
-  while (!all_quiescent() &&
-         std::chrono::steady_clock::now() - drain_start <
-             std::chrono::milliseconds(250))
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  for (auto& f : fabrics) f->shutdown();
-  for (auto& th : node_threads) th.join();
+  std::vector<net::FabricBackend*> backends;
+  for (const auto& f : fabrics) backends.push_back(f.get());
+  finish_wall(shared, tiles, topo.root(), *fabrics[size_t(topo.root())],
+              backends, root_thread, node_threads);
   if (proxy) proxy->stop();
   if (telemetry) telemetry->stop();  // final flush + Bye, after all spans
 

@@ -30,6 +30,12 @@ bool Fabric::enqueue(Mailbox& mb, Message msg) {
   return true;
 }
 
+void Fabric::pop(Mailbox& mb, Message* out) {
+  *out = std::move(mb.queue.front());
+  mb.queue.pop_front();
+  if (drained(mb)) mb.cv.notify_all();
+}
+
 void Fabric::release_delayed(Mailbox& mb, bool force) {
   if (mb.delayed.empty()) return;
   for (auto it = mb.delayed.begin(); it != mb.delayed.end();) {
@@ -135,8 +141,7 @@ bool Fabric::receive(int node, Message* out) {
     return !mb.queue.empty() || mb.dead || shutdown_.load();
   });
   if (mb.dead || mb.queue.empty()) return false;
-  *out = std::move(mb.queue.front());
-  mb.queue.pop_front();
+  pop(mb, out);
   return true;
 }
 
@@ -148,22 +153,24 @@ RecvStatus Fabric::receive_for(int node, double timeout_s, Message* out) {
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(timeout_s));
   const bool ready = mb.cv.wait_until(lock, deadline, [&] {
-    return !mb.queue.empty() || mb.dead || shutdown_.load();
+    return !mb.queue.empty() || mb.dead || shutdown_.load() || mb.woken;
   });
   if (mb.dead) return RecvStatus::kDead;
   if (!mb.queue.empty()) {
-    *out = std::move(mb.queue.front());
-    mb.queue.pop_front();
+    pop(mb, out);
     return RecvStatus::kOk;
   }
   if (shutdown_.load()) return RecvStatus::kShutdown;
+  if (mb.woken) {
+    mb.woken = false;
+    return RecvStatus::kWoken;
+  }
   PDW_CHECK(!ready);
   // Timed out: any fault-delayed messages now arrive "late".
   if (!mb.delayed.empty()) {
     release_delayed(mb, /*force=*/true);
     if (!mb.queue.empty()) {
-      *out = std::move(mb.queue.front());
-      mb.queue.pop_front();
+      pop(mb, out);
       return RecvStatus::kOk;
     }
   }
@@ -202,10 +209,29 @@ TrafficMatrix Fabric::traffic_matrix() const {
 bool Fabric::quiescent() const {
   for (const auto& mb : mailboxes_) {
     std::lock_guard<std::mutex> lock(mb->mu);
-    if (mb->dead) continue;  // a killed node's mailbox never drains
-    if (!mb->queue.empty() || !mb->delayed.empty()) return false;
+    if (!drained(*mb)) return false;
   }
   return true;
+}
+
+bool Fabric::wait_quiescent(double timeout_s) {
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(timeout_s));
+  // Consuming one mailbox can refill another (acks flow back), so repeat
+  // until one pass finds every mailbox drained without waiting.
+  while (true) {
+    bool waited = false;
+    for (auto& mb : mailboxes_) {
+      std::unique_lock<std::mutex> lock(mb->mu);
+      if (drained(*mb)) continue;
+      waited = true;
+      if (!mb->cv.wait_until(lock, deadline, [&] { return drained(*mb); }))
+        return false;
+    }
+    if (!waited) return true;
+  }
 }
 
 void Fabric::shutdown() {
@@ -215,6 +241,15 @@ void Fabric::shutdown() {
     std::lock_guard<std::mutex> lock(mb->mu);
   }
   for (auto& mb : mailboxes_) mb->cv.notify_all();
+}
+
+void Fabric::wake(int node) {
+  Mailbox& mb = box(node);
+  {
+    std::lock_guard<std::mutex> lock(mb.mu);
+    mb.woken = true;
+  }
+  mb.cv.notify_all();
 }
 
 }  // namespace pdw::net

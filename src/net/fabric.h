@@ -80,6 +80,7 @@ enum class RecvStatus {
   kTimeout,
   kShutdown,  // fabric shut down and queue drained
   kDead,      // this node was killed
+  kWoken,     // FabricBackend::wake() interrupted the wait; no message
 };
 
 // The transport surface every fabric backend provides. Two implementations:
@@ -122,8 +123,18 @@ class FabricBackend {
   // True when nothing is queued locally — every delivered message consumed.
   virtual bool quiescent() const = 0;
 
+  // Block until quiescent() holds or timeout_s passes; returns quiescent().
+  // Receives that leave the fabric drained signal the waiter, so the wait
+  // ends on that event rather than on a polling slice.
+  virtual bool wait_quiescent(double timeout_s) = 0;
+
   // Unblock all receivers (end of stream).
   virtual void shutdown() = 0;
+
+  // Make a receive_for() at `node` that is blocked now (or the next one)
+  // return RecvStatus::kWoken — how a coordinating thread releases a host
+  // from a transport wait after changing state the host polls.
+  virtual void wake(int node) = 0;
 
   // Nodes for which the transport observed a hard peer error (ICMP port
   // unreachable — the socket analog of a crashed process) since the last
@@ -172,9 +183,11 @@ class Fabric final : public FabricBackend {
   // sent message has been consumed. Lets an orderly teardown wait for the
   // last in-flight acks before shutdown() discards whatever remains.
   bool quiescent() const override;
+  bool wait_quiescent(double timeout_s) override;
 
   // Unblock all receivers (end of stream).
   void shutdown() override;
+  void wake(int node) override;
 
  private:
   struct Delayed {
@@ -189,6 +202,7 @@ class Fabric final : public FabricBackend {
     std::vector<Delayed> delayed;
     int credits = 0;
     bool dead = false;
+    bool woken = false;  // wake() pending
     uint64_t deliveries = 0;  // messages ever delivered to this node
     NodeCounters counters;
   };
@@ -203,6 +217,14 @@ class Fabric final : public FabricBackend {
   static void release_delayed(Mailbox& mb, bool force);
   // Must hold mb.mu. Enqueue one already-fault-processed message.
   static bool enqueue(Mailbox& mb, Message msg);
+  // Must hold mb.mu. Pop the queue head; wakes a wait_quiescent() waiter
+  // when that drains the mailbox.
+  static void pop(Mailbox& mb, Message* out);
+  // True when `mb` holds nothing a live receiver still has to consume (a
+  // killed node's mailbox never drains, so it counts as drained).
+  static bool drained(const Mailbox& mb) {
+    return mb.dead || (mb.queue.empty() && mb.delayed.empty());
+  }
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   TrafficMatrix traffic_;

@@ -1,6 +1,5 @@
 #include "net/impair.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -34,14 +33,6 @@ double uniform01(uint64_t seed, uint64_t front, uint64_t ordinal,
   return double(h >> 11) * 0x1.0p-53;
 }
 
-sockaddr_in to_sockaddr(Endpoint ep) {
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(ep.ip);
-  sa.sin_port = htons(ep.port);
-  return sa;
-}
-
 double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -55,19 +46,9 @@ constexpr size_t kMaxDgram = 64 * 1024;
 ImpairProxy::ImpairProxy(std::vector<Endpoint> real, ImpairConfig cfg)
     : real_(std::move(real)), cfg_(cfg), ordinal_(real_.size(), 0) {
   for (size_t i = 0; i < real_.size(); ++i) {
-    const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
-    PDW_CHECK_GE(fd, 0);
-    int buf = 4 << 20;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buf, sizeof(buf));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &buf, sizeof(buf));
-    sockaddr_in sa = to_sockaddr(Endpoint{kLoopbackIp, 0});
-    PDW_CHECK_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
-    socklen_t len = sizeof(sa);
-    PDW_CHECK_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len),
-                 0);
-    fds_.push_back(fd);
-    fronts_.push_back(
-        Endpoint{ntohl(sa.sin_addr.s_addr), ntohs(sa.sin_port)});
+    Endpoint front;
+    fds_.push_back(open_udp(Endpoint{kLoopbackIp, 0}, &front, 4 << 20));
+    fronts_.push_back(front);
   }
   thread_ = std::thread([this] { run(); });
 }

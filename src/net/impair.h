@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "net/socket_fabric.h"
+#include "net/udp.h"
 
 namespace pdw::net {
 

@@ -267,6 +267,10 @@ ReliableEndpoint::Status ReliableEndpoint::recv(Message* out,
         break;
       case RecvStatus::kTimeout:
         break;  // loop: service deadlines / caller timeout
+      case RecvStatus::kWoken:
+        // Return early, as a timeout: the caller re-checks whatever state
+        // the waker changed.
+        return Status::kTimeout;
       case RecvStatus::kShutdown:
         return Status::kShutdown;
       case RecvStatus::kDead:

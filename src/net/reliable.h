@@ -122,7 +122,8 @@ class ReliableEndpoint {
   enum class Status { kMessage, kTimeout, kShutdown, kDead };
 
   // Pump the transport: handle acks/retransmits/dedup/reorder internally
-  // and return the next in-order application message, or time out.
+  // and return the next in-order application message, or time out. A
+  // FabricBackend::wake() at this node also ends the call with kTimeout.
   Status recv(Message* out, double timeout_s);
 
   // Peers with at least one abandoned message since the last call.

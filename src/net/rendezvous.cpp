@@ -1,16 +1,12 @@
 #include "net/rendezvous.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/check.h"
 
 namespace pdw::net {
@@ -22,33 +18,22 @@ namespace {
 //   WAIT:    magic, kind=2
 //   MAP:     magic, kind=3, count u32, count x (ip u32, port u32)
 //   MAP_ACK: magic, kind=4, node u32
+//   DONE:    magic, kind=5
 constexpr uint32_t kRvMagic = 0x50445752u;  // 'PDWR'
-constexpr uint32_t kJoin = 1, kWait = 2, kMap = 3, kMapAck = 4;
+constexpr uint32_t kJoin = 1, kWait = 2, kMap = 3, kMapAck = 4, kDone = 5;
+// MAP is the largest datagram; kMaxRendezvousNodes bounds it.
+constexpr size_t kMapHeaderBytes = 12;
+constexpr size_t kMaxMapBytes =
+    kMapHeaderBytes + 8 * size_t(kMaxRendezvousNodes);
+// How long a joiner holding the map waits for DONE. Only a lost DONE lets
+// it run out: then a quiet window means the listener heard our MAP_ACK (it
+// resends MAP to every node it has no ack from).
+constexpr double kDoneFallbackS = 0.12;
 
-void put_u32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, 4); }
-uint32_t get_u32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
-sockaddr_in to_sockaddr(Endpoint ep) {
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(ep.ip);
-  sa.sin_port = htons(ep.port);
-  return sa;
-}
-
-int open_udp(uint16_t port, Endpoint* local) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
-  PDW_CHECK_GE(fd, 0);
-  sockaddr_in sa = to_sockaddr(Endpoint{kLoopbackIp, port});
-  PDW_CHECK_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
-  socklen_t len = sizeof(sa);
-  PDW_CHECK_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len), 0);
-  *local = Endpoint{ntohl(sa.sin_addr.s_addr), ntohs(sa.sin_port)};
-  return fd;
+int checked_node_count(int nodes) {
+  PDW_CHECK_GE(nodes, 1);
+  PDW_CHECK_LE(nodes, kMaxRendezvousNodes);
+  return nodes;
 }
 
 double now_s() {
@@ -57,13 +42,22 @@ double now_s() {
       .count();
 }
 
+void send_to(int fd, const uint8_t* data, size_t len, Endpoint to) {
+  const sockaddr_in sa = to_sockaddr(to);
+  ::sendto(fd, data, len, 0, reinterpret_cast<const sockaddr*>(&sa),
+           sizeof(sa));
+}
+
 // Wait up to timeout_s for one datagram. Returns its length, or -1.
 ssize_t recv_one(int fd, uint8_t* buf, size_t cap, double timeout_s,
-                 sockaddr_in* from) {
-  pollfd pfd{fd, POLLIN, 0};
-  if (::poll(&pfd, 1, std::max(0, int(timeout_s * 1000))) <= 0) return -1;
-  socklen_t slen = sizeof(*from);
-  return ::recvfrom(fd, buf, cap, 0, reinterpret_cast<sockaddr*>(from), &slen);
+                 Endpoint* from) {
+  if (!wait_readable(fd, -1, timeout_s).fd) return -1;
+  sockaddr_in sa{};
+  socklen_t slen = sizeof(sa);
+  const ssize_t n =
+      ::recvfrom(fd, buf, cap, 0, reinterpret_cast<sockaddr*>(&sa), &slen);
+  *from = from_sockaddr(sa);
+  return n;
 }
 
 }  // namespace
@@ -71,69 +65,75 @@ ssize_t recv_one(int fd, uint8_t* buf, size_t cap, double timeout_s,
 RendezvousStatus rendezvous_join(Endpoint server, int self, Endpoint local,
                                  int nodes, std::vector<Endpoint>* out,
                                  RendezvousConfig cfg) {
+  checked_node_count(nodes);
   Endpoint bound;
-  const int fd = open_udp(0, &bound);
-  sockaddr_in srv = to_sockaddr(server);
+  const int fd = open_udp(Endpoint{kLoopbackIp, 0}, &bound);
 
   uint8_t join[20];
-  put_u32(join + 0, kRvMagic);
-  put_u32(join + 4, kJoin);
-  put_u32(join + 8, uint32_t(self));
-  put_u32(join + 12, local.ip);
-  put_u32(join + 16, local.port);
+  store_le32(join + 0, kRvMagic);
+  store_le32(join + 4, kJoin);
+  store_le32(join + 8, uint32_t(self));
+  store_le32(join + 12, local.ip);
+  store_le32(join + 16, local.port);
 
   const double deadline = now_s() + cfg.timeout_s;
   double backoff = cfg.backoff_initial_s;
+  double next_join = 0;     // JOIN retry pacing (capped backoff)
+  double linger_until = 0;  // once the map arrived: lost-DONE fallback
   bool have_map = false;
+  bool done = false;
 
-  while (now_s() < deadline) {
-    if (!have_map)
-      ::sendto(fd, join, sizeof(join), 0, reinterpret_cast<sockaddr*>(&srv),
-               sizeof(srv));
-    // After the map arrived, linger briefly re-acking resends (our first
-    // MAP_ACK may have been lost); a quiet window means the listener heard.
-    const double wait = have_map
-                            ? 0.12
-                            : std::min(backoff, deadline - now_s());
-    backoff = std::min(backoff * 2, cfg.backoff_max_s);
-
-    uint8_t buf[16 + 8 * 512];
-    sockaddr_in from{};
-    const ssize_t n = recv_one(fd, buf, sizeof(buf), wait, &from);
-    if (n < 0) {
-      if (have_map) break;  // quiet after MAP: done
+  while (!done) {
+    const double t = now_s();
+    if (t >= deadline || (have_map && t >= linger_until)) break;
+    if (!have_map && t >= next_join) {
+      send_to(fd, join, sizeof(join), server);
+      next_join = t + backoff;
+      backoff = std::min(backoff * 2, cfg.backoff_max_s);
+    }
+    // WAIT needs no action: the listener knows us and will push MAP.
+    const double until = have_map ? linger_until : next_join;
+    uint8_t buf[kMaxMapBytes];
+    Endpoint from;
+    const ssize_t n = recv_one(fd, buf, sizeof(buf),
+                               std::min(until, deadline) - t, &from);
+    if (n < 8 || load_le32(buf + 0) != kRvMagic) continue;
+    const uint32_t kind = load_le32(buf + 4);
+    if (kind == kDone) {
+      // Every node acked the map: nothing can still need a re-ack.
+      done = have_map;
       continue;
     }
-    if (n < 8 || get_u32(buf + 0) != kRvMagic) continue;
-    const uint32_t kind = get_u32(buf + 4);
-    if (kind == kWait) continue;
-    if (kind != kMap || n < 12) continue;
-    const uint32_t count = get_u32(buf + 8);
-    if (int(count) != nodes || size_t(n) < 12 + size_t(count) * 8) continue;
+    if (kind != kMap || size_t(n) < kMapHeaderBytes) continue;
+    const uint32_t count = load_le32(buf + 8);
+    if (int(count) != nodes ||
+        size_t(n) < kMapHeaderBytes + size_t(count) * 8)
+      continue;
     out->resize(count);
     for (uint32_t i = 0; i < count; ++i) {
-      (*out)[i].ip = get_u32(buf + 12 + i * 8);
-      (*out)[i].port = uint16_t(get_u32(buf + 16 + i * 8));
+      (*out)[i].ip = load_le32(buf + kMapHeaderBytes + i * 8);
+      (*out)[i].port = uint16_t(load_le32(buf + kMapHeaderBytes + 4 + i * 8));
     }
+    // (Re-)ack every MAP: a resend means our previous MAP_ACK was lost.
     uint8_t ack[12];
-    put_u32(ack + 0, kRvMagic);
-    put_u32(ack + 4, kMapAck);
-    put_u32(ack + 8, uint32_t(self));
-    ::sendto(fd, ack, sizeof(ack), 0, reinterpret_cast<sockaddr*>(&srv),
-             sizeof(srv));
+    store_le32(ack + 0, kRvMagic);
+    store_le32(ack + 4, kMapAck);
+    store_le32(ack + 8, uint32_t(self));
+    send_to(fd, ack, sizeof(ack), server);
     have_map = true;
+    linger_until = now_s() + kDoneFallbackS;
   }
   ::close(fd);
   return have_map ? RendezvousStatus::kOk : RendezvousStatus::kTimeout;
 }
 
 RendezvousServer::RendezvousServer(int nodes, uint16_t port)
-    : nodes_(nodes),
-      map_(size_t(nodes)),
-      join_source_(size_t(nodes)),
-      joined_(size_t(nodes), false),
-      acked_(size_t(nodes), false) {
-  fd_ = open_udp(port, &local_);
+    : nodes_(checked_node_count(nodes)),
+      map_(size_t(nodes_)),
+      join_source_(size_t(nodes_)),
+      joined_(size_t(nodes_), false),
+      acked_(size_t(nodes_), false) {
+  fd_ = open_udp(Endpoint{kLoopbackIp, port}, &local_);
 }
 
 RendezvousServer::~RendezvousServer() {
@@ -144,69 +144,75 @@ RendezvousServer::~RendezvousServer() {
 RendezvousStatus RendezvousServer::serve(RendezvousConfig cfg) {
   const double deadline = now_s() + cfg.timeout_s;
   double next_push = 0;  // MAP resend pacing once everyone joined
+  auto all = [](const std::vector<bool>& v) {
+    return std::all_of(v.begin(), v.end(), [](bool b) { return b; });
+  };
 
   while (now_s() < deadline) {
-    const bool all_joined =
-        std::all_of(joined_.begin(), joined_.end(), [](bool b) { return b; });
-    if (all_joined &&
-        std::all_of(acked_.begin(), acked_.end(), [](bool b) { return b; }))
+    const bool all_joined = all(joined_);
+    if (all_joined && all(acked_)) {
+      // Release every joiner from its post-MAP linger. One copy each: a
+      // lost DONE only costs that joiner its fallback window.
+      uint8_t done[8];
+      store_le32(done + 0, kRvMagic);
+      store_le32(done + 4, kDone);
+      for (const Endpoint& to : join_source_)
+        send_to(fd_, done, sizeof(done), to);
       return RendezvousStatus::kOk;
+    }
 
     uint8_t buf[64];
-    sockaddr_in from{};
+    Endpoint from;
     const ssize_t n = recv_one(fd_, buf, sizeof(buf), 0.05, &from);
     const double t = now_s();
 
-    if (n >= 8 && get_u32(buf + 0) == kRvMagic) {
-      const uint32_t kind = get_u32(buf + 4);
+    if (n >= 8 && load_le32(buf + 0) == kRvMagic) {
+      const uint32_t kind = load_le32(buf + 4);
       if (kind == kJoin && n >= 20) {
-        const uint32_t node = get_u32(buf + 8);
+        const uint32_t node = load_le32(buf + 8);
         if (node < uint32_t(nodes_)) {
-          map_[node] = Endpoint{get_u32(buf + 12), uint16_t(get_u32(buf + 16))};
-          join_source_[node] = Endpoint{ntohl(from.sin_addr.s_addr),
-                                        ntohs(from.sin_port)};
+          map_[node] =
+              Endpoint{load_le32(buf + 12), uint16_t(load_le32(buf + 16))};
+          join_source_[node] = from;
           joined_[node] = true;
           if (!all_joined) {
             // Not complete yet (this JOIN may have completed it; the next
             // loop iteration pushes the map). Tell the joiner to hold on.
             uint8_t wait[8];
-            put_u32(wait + 0, kRvMagic);
-            put_u32(wait + 4, kWait);
-            ::sendto(fd_, wait, sizeof(wait), 0,
-                     reinterpret_cast<sockaddr*>(&from), sizeof(from));
+            store_le32(wait + 0, kRvMagic);
+            store_le32(wait + 4, kWait);
+            send_to(fd_, wait, sizeof(wait), from);
           }
         }
       } else if (kind == kMapAck && n >= 12) {
-        const uint32_t node = get_u32(buf + 8);
+        const uint32_t node = load_le32(buf + 8);
         if (node < uint32_t(nodes_)) acked_[node] = true;
       }
     }
 
-    if (std::all_of(joined_.begin(), joined_.end(),
-                    [](bool b) { return b; }) &&
-        t >= next_push) {
+    if (all(joined_) && t >= next_push) {
       if (!transformed_) {
         handout_ = transform_ ? transform_(map_) : map_;
         PDW_CHECK_EQ(int(handout_.size()), nodes_);
         transformed_ = true;
       }
       // Push MAP to every unacked joiner (initial send and loss recovery).
-      uint8_t map[12 + 8 * 512];
-      put_u32(map + 0, kRvMagic);
-      put_u32(map + 4, kMap);
-      put_u32(map + 8, uint32_t(nodes_));
+      uint8_t map[kMaxMapBytes];
+      store_le32(map + 0, kRvMagic);
+      store_le32(map + 4, kMap);
+      store_le32(map + 8, uint32_t(nodes_));
       for (int i = 0; i < nodes_; ++i) {
-        put_u32(map + 12 + size_t(i) * 8, handout_[size_t(i)].ip);
-        put_u32(map + 16 + size_t(i) * 8, handout_[size_t(i)].port);
+        store_le32(map + kMapHeaderBytes + size_t(i) * 8,
+                   handout_[size_t(i)].ip);
+        store_le32(map + kMapHeaderBytes + 4 + size_t(i) * 8,
+                   handout_[size_t(i)].port);
       }
-      const size_t map_len = 12 + size_t(nodes_) * 8;
+      const size_t map_len = kMapHeaderBytes + size_t(nodes_) * 8;
       for (int i = 0; i < nodes_; ++i) {
-        if (acked_[size_t(i)]) continue;
         // MAP goes to the joiner's rendezvous socket (the JOIN source), not
         // its fabric endpoint — they are different sockets.
-        sockaddr_in to = to_sockaddr(join_source_[size_t(i)]);
-        ::sendto(fd_, map, map_len, 0, reinterpret_cast<sockaddr*>(&to),
-                 sizeof(to));
+        if (!acked_[size_t(i)])
+          send_to(fd_, map, map_len, join_source_[size_t(i)]);
       }
       next_push = t + 0.05;
     }

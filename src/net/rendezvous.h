@@ -6,6 +6,13 @@
 //   * listener -> joiner  WAIT                    not everyone has joined yet
 //   * listener -> joiner  MAP(node -> endpoint)   complete map, resent until
 //   * joiner -> listener  MAP_ACK(node)           ...every node has acked
+//   * listener -> joiner  DONE                    sent once, after the last
+//                                                 MAP_ACK
+//
+// A joiner holding the map lingers to re-ack MAP resends (its MAP_ACK may
+// have been lost) and leaves as soon as DONE arrives. DONE is not retried:
+// a joiner whose DONE is lost leaves after a short quiet window instead,
+// which is safe because the listener resends MAP to every unacked node.
 //
 // Joiners never hang: rendezvous_join() retries JOIN under capped
 // exponential backoff and returns a typed kTimeout when the deadline
@@ -17,11 +24,15 @@
 #include <thread>
 #include <vector>
 
-#include "net/socket_fabric.h"
+#include "net/udp.h"
 
 namespace pdw::net {
 
 enum class RendezvousStatus { kOk, kTimeout };
+
+// The largest wall a rendezvous can map: MAP travels in one datagram of
+// 12 + 8 * nodes bytes. Larger node counts are a PDW_CHECK failure.
+inline constexpr int kMaxRendezvousNodes = 512;
 
 struct RendezvousConfig {
   double timeout_s = 10.0;          // overall join/serve deadline

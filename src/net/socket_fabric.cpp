@@ -1,9 +1,8 @@
 #include "net/socket_fabric.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,6 +11,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+
+#include "common/bytes.h"
 
 namespace pdw::net {
 
@@ -46,27 +47,6 @@ constexpr size_t kDgramHeaderBytes = 48;
 // whatever this node's configured send-side fragment size is.
 constexpr size_t kFragBytes = size_t(kMaxFragmentBytes);
 
-void put_u32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, 4); }
-void put_u16(uint8_t* p, uint16_t v) { std::memcpy(p, &v, 2); }
-uint32_t get_u32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-uint16_t get_u16(const uint8_t* p) {
-  uint16_t v;
-  std::memcpy(&v, p, 2);
-  return v;
-}
-
-sockaddr_in to_sockaddr(Endpoint ep) {
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(ep.ip);
-  sa.sin_port = htons(ep.port);
-  return sa;
-}
-
 uint64_t partial_key(int src, uint32_t msg_id) {
   return (uint64_t(uint32_t(src)) << 32) | msg_id;
 }
@@ -85,20 +65,12 @@ SocketFabric::SocketFabric(int self, int nodes, SocketFabricConfig cfg)
   PDW_CHECK_LT(self, nodes);
   frag_bytes_ = size_t(
       std::clamp(cfg_.fragment_bytes, kMinFragmentBytes, kMaxFragmentBytes));
-  fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
-  PDW_CHECK_GE(fd_, 0);
+  fd_ = open_udp(Endpoint{kLoopbackIp, 0}, &local_,
+                 cfg_.socket_buffer_bytes);
   int one = 1;
   ::setsockopt(fd_, IPPROTO_IP, IP_RECVERR, &one, sizeof(one));
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &cfg_.socket_buffer_bytes,
-               sizeof(cfg_.socket_buffer_bytes));
-  ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &cfg_.socket_buffer_bytes,
-               sizeof(cfg_.socket_buffer_bytes));
-  sockaddr_in sa = to_sockaddr(Endpoint{kLoopbackIp, 0});
-  PDW_CHECK_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
-  socklen_t len = sizeof(sa);
-  PDW_CHECK_EQ(
-      ::getsockname(fd_, reinterpret_cast<sockaddr*>(&sa), &len), 0);
-  local_ = Endpoint{ntohl(sa.sin_addr.s_addr), ntohs(sa.sin_port)};
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  PDW_CHECK_GE(wake_fd_, 0);
 
   obs::MetricsRegistry& reg = obs::registry_or_global(cfg_.metrics);
   const obs::Labels l{self_, -1};
@@ -110,6 +82,7 @@ SocketFabric::SocketFabric(int self, int nodes, SocketFabricConfig cfg)
 
 SocketFabric::~SocketFabric() {
   if (fd_ >= 0) ::close(fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
 }
 
 void SocketFabric::set_peers(std::vector<Endpoint> peers) {
@@ -148,25 +121,25 @@ SendStatus SocketFabric::send(int src, int dst, Message msg) {
   sockaddr_in sa = to_sockaddr(peers_[size_t(dst)]);
 
   uint8_t dgram[kDgramHeaderBytes + kFragBytes];
-  put_u32(dgram + 0, kMagic);
-  put_u32(dgram + 4, uint32_t(msg.src));
-  put_u32(dgram + 8, uint32_t(msg.type));
-  put_u32(dgram + 12, msg.seq);
-  put_u16(dgram + 16, msg.aux);
+  store_le32(dgram + 0, kMagic);
+  store_le32(dgram + 4, uint32_t(msg.src));
+  store_le32(dgram + 8, uint32_t(msg.type));
+  store_le32(dgram + 12, msg.seq);
+  store_le16(dgram + 16, msg.aux);
   dgram[18] = msg.stream;
   dgram[19] = msg.bulk ? 1 : 0;
-  put_u32(dgram + 20, msg.tseq);
-  put_u32(dgram + 24, msg.crc);
-  put_u32(dgram + 28, msg_id);
-  put_u16(dgram + 34, frag_count);
-  put_u32(dgram + 36, uint32_t(total));
+  store_le32(dgram + 20, msg.tseq);
+  store_le32(dgram + 24, msg.crc);
+  store_le32(dgram + 28, msg_id);
+  store_le16(dgram + 34, frag_count);
+  store_le32(dgram + 36, uint32_t(total));
 
   for (uint16_t i = 0; i < frag_count; ++i) {
     const size_t off = size_t(i) * frag_bytes_;
     const size_t n = std::min(frag_bytes_, total - off);
-    put_u16(dgram + 32, i);
-    put_u32(dgram + 40, uint32_t(off));
-    put_u32(dgram + 44,
+    store_le16(dgram + 32, i);
+    store_le32(dgram + 40, uint32_t(off));
+    store_le32(dgram + 44,
             crc32(std::span<const uint8_t>(dgram, kDgramHeaderBytes - 4)));
     if (n > 0) std::memcpy(dgram + kDgramHeaderBytes, msg.payload.data() + off, n);
     ::sendto(fd_, dgram, kDgramHeaderBytes + n, 0,
@@ -210,26 +183,26 @@ void SocketFabric::finish_message(Message msg) {
 }
 
 void SocketFabric::ingest(const uint8_t* data, size_t len) {
-  if (len < kDgramHeaderBytes || get_u32(data + 0) != kMagic ||
-      get_u32(data + 44) !=
+  if (len < kDgramHeaderBytes || load_le32(data + 0) != kMagic ||
+      load_le32(data + 44) !=
           crc32(std::span<const uint8_t>(data, kDgramHeaderBytes - 4))) {
     m_rx_drops_->add();
     return;
   }
   Message msg;
-  msg.src = int(get_u32(data + 4));
-  msg.type = int(get_u32(data + 8));
-  msg.seq = get_u32(data + 12);
-  msg.aux = get_u16(data + 16);
+  msg.src = int(load_le32(data + 4));
+  msg.type = int(load_le32(data + 8));
+  msg.seq = load_le32(data + 12);
+  msg.aux = load_le16(data + 16);
   msg.stream = data[18];
   msg.bulk = data[19] != 0;
-  msg.tseq = get_u32(data + 20);
-  msg.crc = get_u32(data + 24);
-  const uint32_t msg_id = get_u32(data + 28);
-  const uint16_t frag_index = get_u16(data + 32);
-  const uint16_t frag_count = get_u16(data + 34);
-  const size_t total = get_u32(data + 36);
-  const size_t frag_off = get_u32(data + 40);
+  msg.tseq = load_le32(data + 20);
+  msg.crc = load_le32(data + 24);
+  const uint32_t msg_id = load_le32(data + 28);
+  const uint16_t frag_index = load_le16(data + 32);
+  const uint16_t frag_count = load_le16(data + 34);
+  const size_t total = load_le32(data + 36);
+  const size_t frag_off = load_le32(data + 40);
   const size_t frag_bytes = len - kDgramHeaderBytes;
   if (msg.src < 0 || msg.src >= nodes_ || frag_count == 0 ||
       frag_index >= frag_count || frag_off + frag_bytes > total) {
@@ -358,7 +331,16 @@ std::vector<int> SocketFabric::take_peer_errors() {
 RecvStatus SocketFabric::receive_for(int node, double timeout_s,
                                      Message* out) {
   PDW_CHECK_EQ(node, self_);
-  const double deadline = now() + timeout_s;
+  const RecvStatus st = receive_until(now() + timeout_s, out);
+  if (quiescent()) {
+    // Release a coordinator blocked in wait_quiescent().
+    std::lock_guard<std::mutex> lock(quiet_mu_);
+    quiet_cv_.notify_all();
+  }
+  return st;
+}
+
+RecvStatus SocketFabric::receive_until(double deadline, Message* out) {
   while (true) {
     if (fenced_[size_t(self_)].load(std::memory_order_relaxed))
       return RecvStatus::kDead;
@@ -370,19 +352,30 @@ RecvStatus SocketFabric::receive_for(int node, double timeout_s,
       return RecvStatus::kOk;
     }
     if (shutdown_.load(std::memory_order_acquire)) return RecvStatus::kShutdown;
+    if (wake_pending_.exchange(false, std::memory_order_acq_rel))
+      return RecvStatus::kWoken;
     const double remaining = deadline - now();
     if (remaining <= 0) return RecvStatus::kTimeout;
-    // Short poll slices so a cross-thread kill()/shutdown() is observed
-    // promptly even with nothing on the wire.
-    pollfd pfd{fd_, POLLIN, 0};
-    ::poll(&pfd, 1, int(std::min(remaining, 0.02) * 1000) + 1);
+    // Sleep until a datagram lands, a coordinator writes the eventfd
+    // (kill/shutdown/wake), or the deadline; the flags above say which.
+    if (wait_readable(fd_, wake_fd_, remaining).wake) {
+      uint64_t count;
+      [[maybe_unused]] const ssize_t n =
+          ::read(wake_fd_, &count, sizeof(count));
+    }
   }
+}
+
+void SocketFabric::signal_wake() {
+  const uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 void SocketFabric::kill(int node) {
   PDW_CHECK_GE(node, 0);
   PDW_CHECK_LT(node, nodes_);
   fenced_[size_t(node)].store(true, std::memory_order_relaxed);
+  signal_wake();
 }
 
 bool SocketFabric::is_dead(int node) const {
@@ -408,6 +401,21 @@ bool SocketFabric::quiescent() const {
          partial_count_.load(std::memory_order_relaxed) == 0;
 }
 
-void SocketFabric::shutdown() { shutdown_.store(true, std::memory_order_release); }
+bool SocketFabric::wait_quiescent(double timeout_s) {
+  std::unique_lock<std::mutex> lock(quiet_mu_);
+  return quiet_cv_.wait_for(lock, std::chrono::duration<double>(timeout_s),
+                            [&] { return quiescent(); });
+}
+
+void SocketFabric::shutdown() {
+  shutdown_.store(true, std::memory_order_release);
+  signal_wake();
+}
+
+void SocketFabric::wake(int node) {
+  PDW_CHECK_EQ(node, self_);
+  wake_pending_.store(true, std::memory_order_release);
+  signal_wake();
+}
 
 }  // namespace pdw::net

@@ -21,6 +21,9 @@
 //    IP_RECVERR surfaces on the sender's error queue. take_peer_errors()
 //    reports the mapped node ids so the root's heartbeat monitor can treat
 //    a killed process exactly like a killed thread.
+//  * Wakes: receive_for() blocks in ppoll on the socket plus an eventfd,
+//    with µs timeouts. kill(), shutdown() and wake() write the eventfd, so
+//    a coordinating thread interrupts a blocked receive at once.
 //  * Local view: counters()/traffic_matrix() report this node's own sends
 //    and receives (message-level wire bytes, comparable with the in-process
 //    fabric's accounting); datagram-level counts go to obs
@@ -29,6 +32,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -36,19 +40,10 @@
 #include <vector>
 
 #include "net/fabric.h"
+#include "net/udp.h"
 #include "obs/metrics.h"
 
 namespace pdw::net {
-
-// A UDP endpoint in host byte order (ip = 0x7f000001 for loopback).
-struct Endpoint {
-  uint32_t ip = 0;
-  uint16_t port = 0;
-
-  friend bool operator==(const Endpoint&, const Endpoint&) = default;
-};
-
-inline constexpr uint32_t kLoopbackIp = 0x7f000001u;
 
 // Bounds on SocketFabricConfig::fragment_bytes. The upper bound keeps
 // header + payload comfortably under the 64 KiB UDP datagram limit; the
@@ -105,7 +100,10 @@ class SocketFabric final : public FabricBackend {
   NodeCounters counters(int node) const override;
   TrafficMatrix traffic_matrix() const override;
   bool quiescent() const override;
+  bool wait_quiescent(double timeout_s) override;
   void shutdown() override;
+  // Accepts only this instance's own node.
+  void wake(int node) override;
   std::vector<int> take_peer_errors() override;
 
   // Datagrams dropped at this receiver because no buffer was posted — the
@@ -125,6 +123,9 @@ class SocketFabric final : public FabricBackend {
   };
 
   double now() const;
+  RecvStatus receive_until(double deadline, Message* out);
+  // Make a receive_for() blocked in ppoll return (kill/shutdown/wake).
+  void signal_wake();
   // Nonblocking drain of every datagram currently queued on the socket.
   void drain_socket();
   // Parse one datagram; queue the (possibly reassembled) message.
@@ -139,6 +140,8 @@ class SocketFabric final : public FabricBackend {
   SocketFabricConfig cfg_;
   size_t frag_bytes_ = size_t(kMaxFragmentBytes);
   int fd_ = -1;
+  // eventfd a coordinating thread writes to interrupt the owner's ppoll.
+  int wake_fd_ = -1;
   Endpoint local_;
   std::chrono::steady_clock::time_point epoch_;
 
@@ -153,12 +156,16 @@ class SocketFabric final : public FabricBackend {
   // Cross-thread state: a coordinator may kill()/shutdown()/read counters
   // while the node thread pumps.
   std::atomic<bool> shutdown_{false};
+  std::atomic<bool> wake_pending_{false};
   std::vector<std::atomic<bool>> fenced_;
   std::atomic<uint64_t> credit_drops_{0};
   // Mirrors of ready_/partial_ sizes so quiescent() is safe to call from a
   // coordinating thread while the owner thread pumps.
   std::atomic<size_t> queued_{0};
   std::atomic<size_t> partial_count_{0};
+  // Notified by the owner whenever a receive leaves the node quiescent.
+  std::mutex quiet_mu_;
+  std::condition_variable quiet_cv_;
 
   mutable std::mutex traffic_mu_;
   TrafficMatrix traffic_;

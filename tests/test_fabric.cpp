@@ -1,6 +1,7 @@
 // GM-like fabric tests: posted-receive credits, accounting, shutdown.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "net/fabric.h"
@@ -339,6 +340,52 @@ TEST(Reliable, AbandonedHoleIsSkippedAfterTimeout) {
   ASSERT_EQ(abandoned.size(), 1u);
   EXPECT_EQ(abandoned[0].type, 1);
   EXPECT_EQ(abandoned[0].dst, 1);
+}
+
+TEST(Fabric, WakeInterruptsABlockedReceiveOnce) {
+  Fabric f(2);
+  RecvStatus st = RecvStatus::kOk;
+  std::thread th([&] {
+    Message m;
+    st = f.receive_for(1, 5.0, &m);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  f.wake(1);
+  th.join();
+  EXPECT_EQ(st, RecvStatus::kWoken);
+  // The wake was consumed: the next receive times out normally.
+  Message m;
+  EXPECT_EQ(f.receive_for(1, 0.0, &m), RecvStatus::kTimeout);
+  // A wake before the receive is not lost.
+  f.wake(1);
+  EXPECT_EQ(f.receive_for(1, 5.0, &m), RecvStatus::kWoken);
+}
+
+TEST(Reliable, WakeEndsARecvEarlyAsATimeout) {
+  Fabric f(2);
+  ReliableEndpoint ep(&f, 1);
+  f.wake(1);
+  Message m;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(ep.recv(&m, 5.0), ReliableEndpoint::Status::kTimeout);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+}
+
+TEST(Fabric, WaitQuiescentEndsWhenTheReceiverDrains) {
+  Fabric f(2);
+  Message m;
+  m.type = 3;
+  f.send(0, 1, m);
+  EXPECT_FALSE(f.quiescent());
+  EXPECT_FALSE(f.wait_quiescent(0.0));
+  std::thread th([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    Message got;
+    f.receive_for(1, 1.0, &got);
+  });
+  EXPECT_TRUE(f.wait_quiescent(5.0));
+  th.join();
+  EXPECT_TRUE(f.quiescent());
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 // CHECK-fails on overruns), and traffic accounting invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <map>
 
 #include "core/pipeline.h"
+#include "core/socket_wall.h"
 #include "enc/encoder.h"
 #include "mpeg2/decoder.h"
 #include "video/generator.h"
@@ -176,6 +179,34 @@ TEST(ThreadedPipelineStats, SplitterSendOverheadIsModest) {
   // ~20% figure at ultra-high resolution is reproduced by the Figure 9
   // benchmark, not here.
   EXPECT_LT(double(s.sent_bytes), double(s.recv_bytes) * 2.5);
+}
+
+TEST(WallTeardown, LaunchersReturnPromptlyAfterTheLastDisplay) {
+  // Teardown ends on events (decoder done-count, a wake of the root's
+  // receive, drained fabrics, shutdown wakes), not on sleep or poll slices,
+  // so both in-process launchers return within a few ms of the last tile.
+  const int w = 256, h = 192;
+  const auto es = make_stream(w, h, 6);
+  wall::TileGeometry geo(w, h, 2, 1, 0);
+  using Clock = std::chrono::steady_clock;
+  for (const bool socket : {false, true}) {
+    std::vector<double> gaps;
+    for (int rep = 0; rep < 5; ++rep) {
+      Clock::time_point last;
+      const core::TileDisplayFn on_display =
+          [&](int, const mpeg2::TileFrame&, const TileDisplayInfo&) {
+            last = Clock::now();
+          };
+      const ClusterStats stats =
+          socket ? core::run_socket_wall(geo, 1, es, on_display)
+                 : ClusterPipeline(geo, 1, es).run(on_display);
+      gaps.push_back(
+          std::chrono::duration<double>(Clock::now() - last).count());
+      EXPECT_EQ(stats.ft.transport.abandoned, 0u);
+    }
+    std::sort(gaps.begin(), gaps.end());
+    EXPECT_LT(gaps[gaps.size() / 2], 0.008) << (socket ? "socket" : "threaded");
+  }
 }
 
 }  // namespace

@@ -4,16 +4,50 @@
 // surviving a deterministically impaired loopback path.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/check.h"
 #include "net/impair.h"
 #include "net/reliable.h"
 #include "net/rendezvous.h"
 #include "net/socket_fabric.h"
+#include "net/udp.h"
 
 namespace pdw::net {
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double seconds(Clock::duration d) {
+  return std::chrono::duration<double>(d).count();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Receive one datagram on a raw UDP socket (the test's stand-in peer).
+std::vector<uint8_t> recv_datagram(int fd, Endpoint* from = nullptr) {
+  if (!wait_readable(fd, -1, 5.0).fd) return {};
+  std::vector<uint8_t> buf(64 * 1024);
+  sockaddr_in sa{};
+  socklen_t len = sizeof(sa);
+  const ssize_t n = ::recvfrom(fd, buf.data(), buf.size(), 0,
+                               reinterpret_cast<sockaddr*>(&sa), &len);
+  if (n < 0) return {};
+  if (from) *from = from_sockaddr(sa);
+  buf.resize(size_t(n));
+  return buf;
+}
 
 // Wire two fabrics to each other (and themselves — self rows are unused).
 void wire(std::vector<SocketFabric*> fabrics) {
@@ -94,6 +128,47 @@ TEST(SocketFabric, RoundTripPreservesEveryHeaderField) {
   EXPECT_EQ(got.crc, 0xdeadbeefu);
   ASSERT_EQ(got.payload.size(), 100u);
   for (uint8_t byte : got.payload.span()) EXPECT_EQ(byte, 0x5c);
+}
+
+TEST(SocketFabric, DatagramHeaderIsLittleEndianOnTheWire) {
+  SocketFabric a(0, 2);
+  Endpoint raw_ep;
+  const int raw = open_udp(Endpoint{kLoopbackIp, 0}, &raw_ep);
+  a.set_peers({a.local_endpoint(), raw_ep});
+  Message m;
+  m.type = 0x01020304;
+  m.seq = 0x05060708;
+  m.aux = 0x090a;
+  m.stream = 0x0b;
+  m.bulk = true;
+  m.tseq = 0x0c0d0e0f;
+  m.crc = 0x11121314;
+  m.payload = mem::Bytes::copy_of(std::vector<uint8_t>{0xaa, 0xbb, 0xcc});
+  ASSERT_EQ(a.send(0, 1, m), SendStatus::kOk);
+  const std::vector<uint8_t> got = recv_datagram(raw);
+  ::close(raw);
+
+  const std::vector<uint8_t> header = {
+      0x46, 0x57, 0x44, 0x50,  // magic 0x50445746
+      0x00, 0x00, 0x00, 0x00,  // src 0
+      0x04, 0x03, 0x02, 0x01,  // type
+      0x08, 0x07, 0x06, 0x05,  // seq
+      0x0a, 0x09,              // aux
+      0x0b,                    // stream
+      0x01,                    // bulk
+      0x0f, 0x0e, 0x0d, 0x0c,  // tseq
+      0x14, 0x13, 0x12, 0x11,  // payload crc
+      0x01, 0x00, 0x00, 0x00,  // msg_id: this fabric's first message
+      0x00, 0x00,              // frag_index
+      0x01, 0x00,              // frag_count
+      0x03, 0x00, 0x00, 0x00,  // payload_total
+      0x00, 0x00, 0x00, 0x00,  // frag_off
+  };
+  const uint32_t hcrc = crc32(header);
+  std::vector<uint8_t> want = header;
+  for (int i = 0; i < 4; ++i) want.push_back(uint8_t(hcrc >> (8 * i)));
+  want.insert(want.end(), {0xaa, 0xbb, 0xcc});
+  EXPECT_EQ(got, want);
 }
 
 TEST(SocketFabric, LargePayloadIsFragmentedAndReassembled) {
@@ -198,6 +273,56 @@ TEST(SocketFabric, SendToClosedPortReportsPeerError) {
   (void)b;
 }
 
+TEST(SocketFabric, ShutdownKillAndWakeInterruptABlockedReceive) {
+  // The receive blocks in ppoll on the socket plus an eventfd; each
+  // coordinator action writes the eventfd, so the blocked thread returns at
+  // once instead of at the end of a polling slice.
+  struct Case {
+    const char* name;
+    std::function<void(SocketFabric&)> act;
+    RecvStatus want;
+  };
+  const Case cases[] = {
+      {"shutdown", [](SocketFabric& f) { f.shutdown(); },
+       RecvStatus::kShutdown},
+      {"kill(self)", [](SocketFabric& f) { f.kill(0); }, RecvStatus::kDead},
+      {"wake(self)", [](SocketFabric& f) { f.wake(0); }, RecvStatus::kWoken},
+  };
+  for (const Case& c : cases) {
+    std::vector<double> latency;
+    for (int rep = 0; rep < 7; ++rep) {
+      SocketFabric f(0, 1);
+      RecvStatus st = RecvStatus::kOk;
+      Clock::time_point returned;
+      std::thread th([&] {
+        Message m;
+        st = f.receive_for(0, 5.0, &m);
+        returned = Clock::now();
+      });
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const Clock::time_point acted = Clock::now();
+      c.act(f);
+      th.join();
+      EXPECT_EQ(st, c.want) << c.name;
+      latency.push_back(seconds(returned - acted));
+    }
+    EXPECT_LT(median(latency), 0.005) << c.name;
+  }
+}
+
+TEST(SocketFabric, SubMillisecondReceiveTimeoutIsHonoured) {
+  SocketFabric f(0, 1);
+  std::vector<double> elapsed;
+  for (int rep = 0; rep < 21; ++rep) {
+    Message m;
+    const Clock::time_point t0 = Clock::now();
+    EXPECT_EQ(f.receive_for(0, 0.0002, &m), RecvStatus::kTimeout);
+    elapsed.push_back(seconds(Clock::now() - t0));
+  }
+  EXPECT_GE(median(elapsed), 0.0002);
+  EXPECT_LT(median(elapsed), 0.001);
+}
+
 // --- Rendezvous ------------------------------------------------------------
 
 TEST(Rendezvous, AllJoinersReceiveTheSameCompleteMap) {
@@ -268,6 +393,151 @@ TEST(Rendezvous, MapTransformSubstitutesHandedOutEndpoints) {
     EXPECT_EQ(maps[size_t(i)][0].port, 7001);
     EXPECT_EQ(maps[size_t(i)][1].port, 7002);
   }
+}
+
+TEST(Rendezvous, DoneReleasesEveryJoinerWellInsideTheFallbackWindow) {
+  // Without DONE every joiner would linger a 0.12 s quiet window after MAP.
+  const int n = 7;
+  std::vector<double> sessions;
+  for (int rep = 0; rep < 5; ++rep) {
+    RendezvousServer server(n);
+    RendezvousConfig cfg;
+    cfg.timeout_s = 5.0;
+    server.serve_async(cfg);
+    std::vector<RendezvousStatus> status(n, RendezvousStatus::kTimeout);
+    std::vector<double> took(n, 0);
+    std::vector<std::thread> joiners;
+    for (int i = 0; i < n; ++i)
+      joiners.emplace_back([&, i] {
+        const Clock::time_point t0 = Clock::now();
+        std::vector<Endpoint> map;
+        status[size_t(i)] =
+            rendezvous_join(server.endpoint(), i,
+                            Endpoint{kLoopbackIp, uint16_t(9000 + i)}, n,
+                            &map, cfg);
+        took[size_t(i)] = seconds(Clock::now() - t0);
+      });
+    for (auto& t : joiners) t.join();
+    EXPECT_EQ(server.result(), RendezvousStatus::kOk);
+    for (int i = 0; i < n; ++i)
+      EXPECT_EQ(status[size_t(i)], RendezvousStatus::kOk) << i;
+    sessions.push_back(*std::max_element(took.begin(), took.end()));
+  }
+  EXPECT_LT(median(sessions), 0.06);
+}
+
+TEST(Rendezvous, JoinerFallsBackToTheQuietWindowWhenDoneIsLost) {
+  // A hand-rolled listener that speaks the protocol byte for byte (pinning
+  // its little-endian layout) but never sends DONE.
+  Endpoint listener;
+  const int fd = open_udp(Endpoint{kLoopbackIp, 0}, &listener);
+  RendezvousConfig cfg;
+  cfg.timeout_s = 5.0;
+  std::vector<Endpoint> map;
+  RendezvousStatus status = RendezvousStatus::kTimeout;
+  Clock::time_point returned;
+  std::thread joiner([&] {
+    status = rendezvous_join(listener, 1, Endpoint{kLoopbackIp, 0x1234}, 2,
+                             &map, cfg);
+    returned = Clock::now();
+  });
+
+  Endpoint joiner_ep;
+  const std::vector<uint8_t> join = recv_datagram(fd, &joiner_ep);
+  const std::vector<uint8_t> map_dgram = {
+      0x52, 0x57, 0x44, 0x50,  // magic 0x50445752
+      0x03, 0x00, 0x00, 0x00,  // MAP
+      0x02, 0x00, 0x00, 0x00,  // count
+      0x01, 0x00, 0x00, 0x7f, 0x01, 0x20, 0x00, 0x00,  // 127.0.0.1:0x2001
+      0x01, 0x00, 0x00, 0x7f, 0x34, 0x12, 0x00, 0x00,  // 127.0.0.1:0x1234
+  };
+  const sockaddr_in to = to_sockaddr(joiner_ep);
+  ::sendto(fd, map_dgram.data(), map_dgram.size(), 0,
+           reinterpret_cast<const sockaddr*>(&to), sizeof(to));
+  std::vector<uint8_t> ack;
+  do {
+    ack = recv_datagram(fd);  // skip JOIN retries until the MAP_ACK
+  } while (ack.size() == join.size());
+  const Clock::time_point acked = Clock::now();
+  joiner.join();
+  ::close(fd);
+
+  const std::vector<uint8_t> want_join = {
+      0x52, 0x57, 0x44, 0x50,  // magic
+      0x01, 0x00, 0x00, 0x00,  // JOIN
+      0x01, 0x00, 0x00, 0x00,  // node 1
+      0x01, 0x00, 0x00, 0x7f,  // ip 127.0.0.1
+      0x34, 0x12, 0x00, 0x00,  // port 0x1234
+  };
+  const std::vector<uint8_t> want_ack = {
+      0x52, 0x57, 0x44, 0x50, 0x04, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+  };
+  EXPECT_EQ(join, want_join);
+  EXPECT_EQ(ack, want_ack);
+  ASSERT_EQ(status, RendezvousStatus::kOk);
+  ASSERT_EQ(map.size(), 2u);
+  EXPECT_EQ(map[0], (Endpoint{kLoopbackIp, 0x2001}));
+  EXPECT_EQ(map[1], (Endpoint{kLoopbackIp, 0x1234}));
+  // No DONE: the joiner left through the quiet window, not before it.
+  EXPECT_GE(seconds(returned - acked), 0.1);
+}
+
+TEST(Rendezvous, NodeCountIsBoundedByTheMapDatagram) {
+  EXPECT_THROW(RendezvousServer(kMaxRendezvousNodes + 1), InternalError);
+  EXPECT_THROW(RendezvousServer(0), InternalError);
+  std::vector<Endpoint> map;
+  EXPECT_THROW(rendezvous_join(Endpoint{kLoopbackIp, 9}, 0,
+                               Endpoint{kLoopbackIp, 1000},
+                               kMaxRendezvousNodes + 1, &map),
+               InternalError);
+
+  // The bound itself maps in one datagram: one raw socket joins every node.
+  const int n = kMaxRendezvousNodes;
+  RendezvousServer server(n);
+  RendezvousConfig cfg;
+  cfg.timeout_s = 5.0;
+  server.serve_async(cfg);
+  Endpoint raw_ep;
+  const int raw = open_udp(Endpoint{kLoopbackIp, 0}, &raw_ep, 1 << 20);
+  const sockaddr_in srv = to_sockaddr(server.endpoint());
+  auto send_u32s = [&](std::vector<uint32_t> words) {
+    std::vector<uint8_t> d(words.size() * 4);
+    for (size_t i = 0; i < words.size(); ++i) store_le32(&d[i * 4], words[i]);
+    ::sendto(raw, d.data(), d.size(), 0,
+             reinterpret_cast<const sockaddr*>(&srv), sizeof(srv));
+  };
+  // One JOIN per listener reply (WAIT), so no burst overruns its socket.
+  std::vector<uint8_t> got;
+  for (int i = 0; i < n; ++i) {
+    send_u32s({0x50445752u, 1, uint32_t(i), kLoopbackIp, uint32_t(10000 + i)});
+    got = recv_datagram(raw);
+  }
+  while (!got.empty() && load_le32(&got[4]) != 3u)
+    got = recv_datagram(raw);  // the last WAIT, then the first MAP
+  // Ack every node until DONE arrives, in paced batches that the
+  // listener's socket buffer absorbs; MAPs still arriving mean an ack was
+  // lost, so ack again (at most once per MAP round).
+  Clock::time_point last_acks;
+  for (bool acked = false; !acked;) {
+    if (Clock::now() - last_acks > std::chrono::milliseconds(40)) {
+      for (int i = 0; i < n; ++i) {
+        send_u32s({0x50445752u, 4, uint32_t(i)});
+        if (i % 32 == 31)
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      last_acks = Clock::now();
+    }
+    const std::vector<uint8_t> d = recv_datagram(raw);
+    acked = d.empty() || load_le32(&d[4]) == 5u;  // DONE (or give up)
+  }
+  EXPECT_EQ(server.result(), RendezvousStatus::kOk);
+  ::close(raw);
+
+  ASSERT_EQ(got.size(), 12 + 8 * size_t(n));
+  EXPECT_EQ(load_le32(&got[4]), 3u);  // MAP
+  EXPECT_EQ(load_le32(&got[8]), uint32_t(n));
+  for (int i = 0; i < n; ++i)
+    EXPECT_EQ(load_le32(&got[16 + 8 * size_t(i)]), uint32_t(10000 + i));
 }
 
 // --- Adaptive RTO over real sockets ----------------------------------------
