@@ -46,7 +46,7 @@ int main() {
   const core::ClusterStats t = threaded.run(nullptr);
 
   obs::MetricsRegistry clean_reg;
-  core::SocketWallOptions so;
+  core::FtOptions so;
   so.metrics = &clean_reg;
   const core::ClusterStats s = core::run_socket_wall(geo, k, es, nullptr, so);
   obs::Histogram rtt, jitter;
@@ -54,13 +54,12 @@ int main() {
   merge_hist(clean_reg, obs::family::kRttJitterNs, nodes, &jitter);
 
   obs::MetricsRegistry lossy_reg;
-  core::SocketWallOptions lo;
+  core::FtOptions lo;
   lo.metrics = &lossy_reg;
-  lo.impair = true;
-  lo.impair_cfg.seed = 42;
-  lo.impair_cfg.loss = 0.02;
-  lo.impair_cfg.delay = 0.05;
-  lo.impair_cfg.delay_s = 0.001;
+  lo.impair.seed = 42;
+  lo.impair.loss = 0.02;
+  lo.impair.delay = 0.05;
+  lo.impair.delay_s = 0.001;
   const core::ClusterStats l = core::run_socket_wall(geo, k, es, nullptr, lo);
 
   // Telemetry overhead: the same wall streaming its metric/span sideband to
@@ -70,7 +69,7 @@ int main() {
   PDW_CHECK(collector.ok());
   collector.start();
   obs::MetricsRegistry tele_reg;
-  core::SocketWallOptions to;
+  core::FtOptions to;
   to.metrics = &tele_reg;
   to.telemetry_port = collector.endpoint().port;
   to.telemetry_interval_s = 0.25;

@@ -2,8 +2,9 @@
 // shape. Every process is launched with its node id, the shared wall
 // parameters and the rendezvous address; node 0 (the root) additionally
 // hosts the UDP rendezvous listener that hands every process the full
-// node -> endpoint map. The processes then run exactly the hosts the
-// in-process engines run (core/hosts.h), over per-process SocketFabrics.
+// node -> endpoint map. Each process builds and runs its one host through
+// the same setup the in-process launcher uses (core/launch.h WallSetup),
+// over its own SocketFabric.
 //
 // The test stream is generated deterministically inside every process from
 // the shared (width, height, scene, seed, frames) parameters — same binary,
@@ -22,32 +23,23 @@
 // Impairment (--loss/--dup/--delay, root only) routes every fabric datagram
 // through the deterministic UDP impairment proxy: the rendezvous listener
 // hands out the proxy's front addresses instead of the real endpoints.
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/timing.h"
-#include "core/hosts.h"
+#include "core/launch.h"
 #include "core/lockstep.h"
-#include "core/pipeline.h"
-#include "core/root_splitter.h"
 #include "enc/encoder.h"
-#include "mem/pool.h"
-#include "net/impair.h"
-#include "net/rendezvous.h"
-#include "net/socket_fabric.h"
 #include "obs/flight.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "video/generator.h"
 #include "wall/geometry.h"
@@ -67,14 +59,13 @@ struct Options {
   uint16_t rv_port = 0;
   std::string report;
   std::vector<std::string> reports;
-  double loss = 0, dup = 0, delay = 0, delay_s = 0.002;
-  uint64_t impair_seed = 1;
   double timeout_s = 30;
   double linger_s = 1.0;
-  uint16_t telemetry_port = 0;  // 0: sideband off
-  double telemetry_interval_s = 0.2;
   std::string flight_dir;   // non-empty: per-node flight recorder on
-  double hb_timeout_s = 0;  // 0: protocol default (effectively infinite)
+  // Heartbeat timeout (--hb-timeout; absent: the protocol default),
+  // impairment (--loss/--dup/--delay/--delay-s/--impair-seed, honoured by
+  // the root's rendezvous) and telemetry (--telemetry-port/-interval).
+  pdw::core::FtOptions ft;
   // Chaos hook: raise SIGTERM after this many displayed tile-pictures
   // (decoders only; 0 = never). Deterministic "node killed mid-run" for the
   // obs-smoke flight-recorder leg.
@@ -122,19 +113,21 @@ bool parse(int argc, char** argv, Options* o) {
       else if (a == "--seed") o->seed = uint64_t(std::atoll(v));
       else if (a == "--rv-port") o->rv_port = uint16_t(std::atoi(v));
       else if (a == "--report") o->report = v;
-      else if (a == "--loss") o->loss = std::atof(v);
-      else if (a == "--dup") o->dup = std::atof(v);
-      else if (a == "--delay") o->delay = std::atof(v);
-      else if (a == "--delay-s") o->delay_s = std::atof(v);
-      else if (a == "--impair-seed") o->impair_seed = uint64_t(std::atoll(v));
+      else if (a == "--loss") o->ft.impair.loss = std::atof(v);
+      else if (a == "--dup") o->ft.impair.dup = std::atof(v);
+      else if (a == "--delay") o->ft.impair.delay = std::atof(v);
+      else if (a == "--delay-s") o->ft.impair.delay_s = std::atof(v);
+      else if (a == "--impair-seed")
+        o->ft.impair.seed = uint64_t(std::atoll(v));
       else if (a == "--timeout") o->timeout_s = std::atof(v);
       else if (a == "--linger") o->linger_s = std::atof(v);
       else if (a == "--telemetry-port")
-        o->telemetry_port = uint16_t(std::atoi(v));
+        o->ft.telemetry_port = uint16_t(std::atoi(v));
       else if (a == "--telemetry-interval")
-        o->telemetry_interval_s = std::atof(v);
+        o->ft.telemetry_interval_s = std::atof(v);
       else if (a == "--flight-dir") o->flight_dir = v;
-      else if (a == "--hb-timeout") o->hb_timeout_s = std::atof(v);
+      else if (a == "--hb-timeout")
+        o->ft.protocol.heartbeat_timeout_s = std::atof(v);
       else if (a == "--die-after") o->die_after = std::atoi(v);
       else return false;
     }
@@ -365,7 +358,7 @@ int run_node(const Options& o) {
   // Observability sideband, all off by default. The tracer is global and the
   // hosts stamp spans with their node id, so a single-node process's spans
   // carry exactly this node's pid in the merged trace.
-  if (o.telemetry_port != 0 && !pdw::obs::Tracer::global().enabled())
+  if (o.ft.telemetry_port != 0 && !pdw::obs::Tracer::global().enabled())
     pdw::obs::Tracer::global().enable(size_t(1) << 15);
   if (!o.flight_dir.empty()) {
     pdw::obs::FlightRecorder::Config fc;
@@ -374,162 +367,61 @@ int run_node(const Options& o) {
     pdw::obs::FlightRecorder::global().configure(fc);
     pdw::obs::FlightRecorder::install_signal_handlers();
   }
-  std::unique_ptr<pdw::obs::TelemetryExporter> telemetry;
-  if (o.telemetry_port != 0) {
-    pdw::obs::TelemetryExporterConfig tc;
-    tc.collector = {pdw::obs::kTelemetryLoopbackIp, o.telemetry_port};
-    tc.interval_s = o.telemetry_interval_s;
-    tc.k = uint16_t(o.k);
-    tc.tiles = uint16_t(geo.tiles());
-    tc.nodes = uint16_t(nodes);
-    tc.hosted = {uint16_t(o.node)};
-    telemetry = std::make_unique<pdw::obs::TelemetryExporter>(tc);
-    telemetry->start();
-  }
+  std::unique_ptr<pdw::obs::TelemetryExporter> telemetry =
+      pdw::core::start_telemetry(o.ft, topo, {uint16_t(o.node)});
 
   const std::vector<uint8_t> es = make_stream(o);
-  pdw::core::RootSplitter root(es);
-  const int total_pictures = root.picture_count();
-  {
-    size_t max_pic = 0;
-    for (int i = 0; i < total_pictures; ++i)
-      max_pic = std::max(max_pic, root.picture(i).size());
-    pdw::mem::BufferPool::wire().prewarm(max_pic * 2,
-                                         2 * nodes + geo.tiles() + 8);
-  }
-
-  const pdw::core::ProtocolConfig cfg;
+  pdw::core::WallSetup wall(geo, o.k, es, o.ft);
   pdw::net::SocketFabric fabric(o.node, nodes);
-  pdw::net::RendezvousConfig rv_cfg;
-  rv_cfg.timeout_s = o.timeout_s;
 
-  // The root hosts the rendezvous listener on the well-known port. With
-  // impairment requested, the listener hands out the impairment proxy's
-  // front addresses instead of the real endpoints — every process
-  // (including the root itself, which joins like everyone else) then sends
-  // through the lossy path.
-  std::unique_ptr<pdw::net::RendezvousServer> rv;
-  std::unique_ptr<pdw::net::ImpairProxy> proxy;
-  if (o.node == topo.root()) {
-    rv = std::make_unique<pdw::net::RendezvousServer>(nodes, o.rv_port);
-    if (o.loss > 0 || o.dup > 0 || o.delay > 0) {
-      pdw::net::ImpairConfig ic;
-      ic.seed = o.impair_seed;
-      ic.loss = o.loss;
-      ic.dup = o.dup;
-      ic.delay = o.delay;
-      ic.delay_s = o.delay_s;
-      rv->set_map_transform(
-          [&proxy, ic](const std::vector<pdw::net::Endpoint>& real) {
-            proxy = std::make_unique<pdw::net::ImpairProxy>(real, ic);
-            return proxy->proxied();
-          });
-    }
-    rv->serve_async(rv_cfg);
-  }
-
-  HostShared shared;
-  shared.ep_stats.resize(size_t(nodes));
-  shared.acct.reset(nodes);
-  std::mutex display_mu;
-  DigestMap digests;
-  pdw::WallTimer timer;
-
-  // Credits are receiver-local state: post them before the peer map even
-  // exists so the first inbound picture never finds the mailbox empty.
-  if (o.node != topo.root()) {
-    fabric.post_receive(o.node);
-    fabric.post_receive(o.node);
-  }
-
-  std::vector<pdw::net::Endpoint> peers;
-  const pdw::net::Endpoint server{pdw::net::kLoopbackIp, o.rv_port};
-  if (pdw::net::rendezvous_join(server, o.node, fabric.local_endpoint(),
-                                nodes, &peers,
-                                rv_cfg) != pdw::net::RendezvousStatus::kOk) {
+  // The root hosts the rendezvous listener on the well-known port (with
+  // impairment, handing out the proxy's front addresses); every process,
+  // the root included, joins it like everyone else.
+  std::unique_ptr<pdw::core::WallRendezvous> rv;
+  if (o.node == topo.root())
+    rv = std::make_unique<pdw::core::WallRendezvous>(nodes, o.rv_port,
+                                                     o.ft.impair, o.timeout_s);
+  wall.post_credits(fabric, o.node);
+  if (!pdw::core::join_wall(fabric, {pdw::net::kLoopbackIp, o.rv_port},
+                            nodes, o.timeout_s)) {
     std::fprintf(stderr, "node %d: rendezvous timeout\n", o.node);
     return 3;
   }
-  fabric.set_peers(peers);
-
-  std::vector<pdw::proto::PictureMeta> metas{size_t(total_pictures)};
-  for (int i = 0; i < total_pictures; ++i)
-    metas[size_t(i)].has_gop_header = root.span(i).has_gop_header;
-
-  pdw::net::ReliableStats final_stats;
-  if (o.node == topo.root()) {
-    if (rv->result() != pdw::net::RendezvousStatus::kOk) {
-      std::fprintf(stderr, "root: rendezvous listener timed out\n");
-      return 3;
-    }
-    pdw::proto::RootNode::Options ro;
-    ro.heartbeat_timeout_s =
-        o.hb_timeout_s > 0 ? o.hb_timeout_s : cfg.heartbeat_timeout_s;
-    // No coordinator process: the root leaves as soon as every decoder
-    // reported (root_stop raised up front).
-    shared.root_stop.store(true);
-    pdw::core::RootHost host(&fabric, &shared, &timer, &root, topo,
-                             cfg.reliable, ro, std::move(metas), nullptr);
-    host.run();
-    // Absorb the tail: keep t-acking peers' retransmissions for the linger
-    // window so nobody retries into a vanished mailbox.
-    pdw::WallTimer linger;
-    while (linger.seconds() < o.linger_s) {
-      pdw::net::Message m;
-      if (host.ep.recv(&m, 0.02) ==
-          pdw::net::ReliableEndpoint::Status::kShutdown)
-        break;
-    }
-    final_stats = host.ep.stats();
-  } else if (o.node <= o.k) {
-    const int s = o.node - 1;
-    std::thread th([&] {
-      pdw::core::SplitterHost host(&fabric, &shared, topo, s, cfg.reliable,
-                                   geo, root.stream_info(), nullptr);
-      host.run();
-    });
-    shared.wait_done(shared.splitters_done, 1);
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(int(o.linger_s * 1000)));
-    fabric.shutdown();
-    th.join();
-    final_stats = shared.ep_stats[size_t(o.node)];
-  } else {
-    const int tile = topo.tile_of(o.node);
-    int displayed = 0;
-    pdw::core::TileDisplayFn on_display =
-        [&](int t, const pdw::mpeg2::TileFrame& tf,
-            const TileDisplayInfo& info) {
-          digests[{t, info.display_index}] = digest_tile(tf);
-          // Chaos hook: die mid-run via the real fatal-signal path, so the
-          // flight recorder's handler writes the post-mortem dump.
-          if (o.die_after > 0 && ++displayed >= o.die_after)
-            std::raise(SIGTERM);
-        };
-    std::thread th([&] {
-      pdw::proto::DecoderNode::Options dopts;
-      dopts.heartbeat_interval_s = cfg.heartbeat_interval_s;
-      dopts.total_pictures = uint32_t(total_pictures);
-      pdw::core::DecoderHost host(&fabric, &shared, &timer, topo, tile,
-                                  cfg.reliable, geo, root.stream_info(),
-                                  on_display, &display_mu, dopts, nullptr);
-      host.run(uint32_t(total_pictures));
-    });
-    shared.wait_done(shared.decoders_done, 1);
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(int(o.linger_s * 1000)));
-    fabric.shutdown();
-    th.join();
-    final_stats = shared.ep_stats[size_t(o.node)];
+  if (rv && rv->result() != pdw::net::RendezvousStatus::kOk) {
+    std::fprintf(stderr, "root: rendezvous listener timed out\n");
+    return 3;
   }
 
+  // No coordinator process: the root leaves as soon as every decoder
+  // reported.
+  wall.shared.root_stop.store(true);
+  DigestMap digests;
+  int displayed = 0;
+  const pdw::core::TileDisplayFn on_display =
+      [&](int t, const pdw::mpeg2::TileFrame& tf,
+          const TileDisplayInfo& info) {
+        digests[{t, info.display_index}] = digest_tile(tf);
+        // Chaos hook: die mid-run via the real fatal-signal path, so the
+        // flight recorder's handler writes the post-mortem dump.
+        if (o.die_after > 0 && ++displayed >= o.die_after)
+          std::raise(SIGTERM);
+      };
+  std::thread host([&] { wall.run_host(o.node, &fabric, on_display); });
+  // Every role ends the same way: once its host is done, linger so peers'
+  // retransmissions into this node still get t-acked, then shut down.
+  wall.shared.wait_done(wall.shared.done_count(topo, o.node), 1);
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(int(o.linger_s * 1000)));
   fabric.shutdown();
-  if (proxy) proxy->stop();
+  host.join();
+  rv.reset();  // stops the impairment proxy
   if (telemetry) telemetry->stop();  // final flush + Bye, after all spans
-  write_report(o.report, o.node, nodes, shared, final_stats, digests);
+
+  const pdw::net::ReliableStats& stats = wall.shared.ep_stats[size_t(o.node)];
+  write_report(o.report, o.node, nodes, wall.shared, stats, digests);
   std::printf("node %d done: %llu sent, %llu retransmits, %.2fs\n", o.node,
-              (unsigned long long)final_stats.sent,
-              (unsigned long long)final_stats.retransmits, timer.seconds());
+              (unsigned long long)stats.sent,
+              (unsigned long long)stats.retransmits, wall.timer.seconds());
   return 0;
 }
 

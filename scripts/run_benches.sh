@@ -26,24 +26,13 @@ cmake --build "$build" -j"$(nproc)"
 
 mkdir -p "$results"
 
-benches=(
-  bench_codec_micro
-  bench_table1_levels
-  bench_table4_streams
-  bench_table5_fig6_framerate
-  bench_table6_fig8_resolution
-  bench_fig7_breakdown
-  bench_fig9_bandwidth
-  bench_ablation_mei
-  bench_ablation_sph
-  bench_ablation_zerocopy
-  bench_ablation_dynamic
-  bench_ablation_adaptive
-  bench_fault_recovery
-  bench_overload
-  bench_chaos_soak
-  bench_socket_wall
-)
+# Every bench executable bench/CMakeLists.txt defines: the pdw_bench(...)
+# targets plus the google-benchmark micro suite (its own add_executable).
+mapfile -t benches < <(sed -n \
+  's/^\(pdw_bench\|add_executable\)(\(bench_[a-z0-9_]*\).*/\2/p' \
+  "$repo/bench/CMakeLists.txt")
+[ "${#benches[@]}" -gt 0 ] || {
+  echo "no bench targets found in bench/CMakeLists.txt" >&2; exit 1; }
 
 for name in "${benches[@]}"; do
   bin="$build/bench/$name"

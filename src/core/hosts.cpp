@@ -1,6 +1,5 @@
 #include "core/hosts.h"
 
-#include <chrono>
 #include <optional>
 #include <utility>
 
@@ -12,6 +11,12 @@ namespace pdw::core {
 
 using proto::AnyMsg;
 using proto::Outgoing;
+
+std::atomic<int>& HostShared::done_count(const proto::Topology& topo,
+                                        int node) {
+  if (node == topo.root()) return root_done;
+  return topo.is_decoder(node) ? decoders_done : splitters_done;
+}
 
 void HostShared::mark_done(std::atomic<int>& counter) {
   {
@@ -28,56 +33,9 @@ void HostShared::wait_done(const std::atomic<int>& counter, int n) {
   });
 }
 
-void finish_wall(HostShared& shared, int tiles, int root,
-                 net::FabricBackend& root_fabric,
-                 std::span<net::FabricBackend* const> fabrics,
-                 std::thread& root_thread,
-                 std::vector<std::thread>& node_threads) {
-  // Decoders stay resident (t-acking) after finishing, so completion is
-  // signalled by a counter rather than join: every decoder thread counts
-  // itself done exactly once, whether it finished the stream or was killed.
-  shared.wait_done(shared.decoders_done, tiles);
-  shared.root_stop.store(true);
-  root_fabric.wake(root);
-  root_thread.join();
-  // The root consumed every finished notice before exiting; what remains in
-  // flight is the tail of transport acks. Let it be consumed so shutdown
-  // discards nothing (keeps traffic accounting conserved). Consuming at one
-  // node can queue an ack at another, so repeat until one pass finds every
-  // fabric drained.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
-  auto remaining = [&] {
-    return std::chrono::duration<double>(deadline -
-                                         std::chrono::steady_clock::now())
-        .count();
-  };
-  for (bool waited = true; waited && remaining() > 0;) {
-    waited = false;
-    for (net::FabricBackend* f : fabrics) {
-      if (f->quiescent()) continue;
-      waited = true;
-      f->wait_quiescent(remaining());
-    }
-  }
-  for (net::FabricBackend* f : fabrics) f->shutdown();
-  for (std::thread& th : node_threads) th.join();
-}
+namespace {
 
-void accumulate_transport(net::ReliableStats* into,
-                          const net::ReliableStats& s) {
-  into->sent += s.sent;
-  into->retransmits += s.retransmits;
-  into->crc_drops += s.crc_drops;
-  into->dup_drops += s.dup_drops;
-  into->reordered += s.reordered;
-  into->abandoned += s.abandoned;
-  into->no_credit += s.no_credit;
-  into->holes += s.holes;
-  into->delivered += s.delivered;
-  into->rtt_samples += s.rtt_samples;
-}
-
+// Map a state-machine emission onto the transport and record it.
 void emit(net::ReliableEndpoint& ep, HostShared& shared, int src, Outgoing o) {
   {
     std::lock_guard<std::mutex> lock(shared.acct_mu);
@@ -99,6 +57,8 @@ void emit(net::ReliableEndpoint& ep, HostShared& shared, int src, Outgoing o) {
     ep.send_unreliable(o.dst, std::move(m));
 }
 
+// Exchanges are built by the host (they carry extracted pixels), so they
+// are recorded with their typed form to feed the per-picture matrices.
 void emit_exchange(net::ReliableEndpoint& ep, HostShared& shared, int src,
                    int dst, const proto::ExchangeMsg& msg) {
   {
@@ -118,13 +78,30 @@ void emit_exchange(net::ReliableEndpoint& ep, HostShared& shared, int src,
   ep.send(dst, std::move(m));
 }
 
+// Decode a received wire body. The transport CRC-verified it, so a decode
+// failure is a local protocol bug, not damage — crash loudly.
 AnyMsg decode_trusted(const net::Message& m) {
   std::optional<AnyMsg> msg = proto::decode_any(m.payload);
   PDW_CHECK(msg.has_value()) << " undecodable wire message type " << m.type;
   return std::move(*msg);
 }
 
-namespace {
+// The resident tail every role ends with: keep the endpoint receiving —
+// t-acking peers' retransmissions and retransmitting its own unacked tail —
+// until the fabric shuts down or fences this node. `each` sees every
+// receive that is not one of those two.
+template <class Each>
+void stay_resident(net::ReliableEndpoint& ep, Each&& each) {
+  while (true) {
+    net::Message m;
+    const auto st = ep.recv(&m, 0.02);
+    if (st == net::ReliableEndpoint::Status::kShutdown ||
+        st == net::ReliableEndpoint::Status::kDead)
+      break;
+    each(st, m);
+    ep.take_abandoned();
+  }
+}
 
 // The endpoint's transport instruments (retransmits, RTT histograms) must
 // land in the same registry as the host's, not fall back to the global one.
@@ -216,6 +193,8 @@ void RootHost::run() {
   // the last finished notice wakes the receive and so does the wake() that
   // follows root_stop.
   while (!shared.root_stop.load() || !node.all_reported()) pump(0.01);
+  shared.mark_done(shared.root_done);
+  stay_resident(ep, [](auto, net::Message&) {});
   shared.ep_stats[size_t(topo.root())] = ep.stats();
 }
 
@@ -242,11 +221,6 @@ SplitterHost::SplitterHost(net::FabricBackend* f, HostShared* sh,
   obs::MetricsRegistry& r = obs::registry_or_global(metrics);
   inst.resolve(r, self(), 0);
   queue_depth = &r.gauge(obs::family::kQueueDepth, obs::Labels{self(), 0});
-}
-
-void SplitterHost::post_initial_credits() {
-  fabric.post_receive(self());
-  fabric.post_receive(self());
 }
 
 void SplitterHost::apply(proto::SplitterNode::Step step) {
@@ -337,18 +311,11 @@ void SplitterHost::run() {
     }
   }
 
-  // Drain: ack decoders' final picture acks and absorb stragglers until
-  // the main thread shuts the fabric down.
+  // Drain: ack decoders' final picture acks and absorb stragglers.
   shared.mark_done(shared.splitters_done);
-  while (true) {
-    net::Message m;
-    const auto st = ep.recv(&m, 0.02);
-    if (st == net::ReliableEndpoint::Status::kShutdown ||
-        st == net::ReliableEndpoint::Status::kDead)
-      break;
+  stay_resident(ep, [&](net::ReliableEndpoint::Status st, net::Message& m) {
     if (st == net::ReliableEndpoint::Status::kMessage) handle(m);
-    ep.take_abandoned();
-  }
+  });
   shared.ep_stats[size_t(self())] = ep.stats();
 }
 
@@ -378,11 +345,6 @@ DecoderHost::DecoderHost(net::FabricBackend* f, HostShared* sh,
   obs::MetricsRegistry& r = obs::registry_or_global(metrics);
   inst.resolve(r, self(), 0);
   queue_depth = &r.gauge(obs::family::kQueueDepth, obs::Labels{self(), 0});
-}
-
-void DecoderHost::post_initial_credits() {
-  fabric.post_receive(self());
-  fabric.post_receive(self());
 }
 
 TileDecoder::DisplayFn DecoderHost::display_fn(int tile) {
@@ -584,24 +546,16 @@ void DecoderHost::run(uint32_t total_pictures) {
     apply({node.finished(), {}, std::nullopt});
   }
   shared.mark_done(shared.decoders_done);
-  // Stay resident until fabric shutdown: retransmit our own unacked tail
-  // (last ack, finished notice, trailing exchanges) and keep t-acking
-  // peers' retransmissions — a peer whose ack to us was lost would
-  // otherwise retry into a dead mailbox and falsely abandon.
-  while (!gone) {
-    net::Message m;
-    const auto st = ep.recv(&m, 0.02);
-    if (st == net::ReliableEndpoint::Status::kDead ||
-        st == net::ReliableEndpoint::Status::kShutdown)
-      break;
-    ep.take_abandoned();
-    // Keep heartbeating until the finished notice is acked (the root
-    // received it and exempted us from monitoring); then fall silent so
-    // the fabric can reach quiescence for an orderly teardown.
-    if (ep.unacked() > 0)
-      for (Outgoing& o : node.on_tick(timer.seconds()))
-        emit(ep, shared, self(), std::move(o));
-  }
+  // Our own unacked tail is last ack, finished notice and trailing
+  // exchanges. Keep heartbeating until the finished notice is acked (the
+  // root received it and exempted us from monitoring); then fall silent so
+  // the fabric can reach quiescence for an orderly teardown.
+  if (!gone)
+    stay_resident(ep, [&](auto, net::Message&) {
+      if (ep.unacked() > 0)
+        for (Outgoing& o : node.on_tick(timer.seconds()))
+          emit(ep, shared, self(), std::move(o));
+    });
   shared.ep_stats[size_t(self())] = ep.stats();
 }
 

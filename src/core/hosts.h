@@ -3,18 +3,16 @@
 // net::ReliableEndpoint over any net::FabricBackend, feeds decoded wire
 // messages to its state machine, transmits whatever the machine returns and
 // runs the actual work (splitting, pixel extraction, tile decoding) when the
-// machine says the inputs are complete.
+// machine says the inputs are complete. Every role ends the same way: it
+// raises its done-count, then stays resident t-acking peers' retransmissions
+// until its fabric shuts down.
 //
-// Extracted from the threaded pipeline so the same hosts serve every
-// deployment shape:
-//   * ClusterPipeline (core/pipeline.h)  — one thread per node over one
-//     shared in-process Fabric (the fast, deterministic test path);
-//   * run_socket_wall (core/socket_wall.h) — one thread per node, each with
-//     its own SocketFabric over real UDP loopback;
-//   * wall_node (examples/wall_node.cpp)  — one OS process per node, the
-//     paper's actual deployment shape.
-// The protocol machines cannot tell these apart, which is what the
-// ProtocolEquivalence suite proves.
+// The hosts are built in one place, WallSetup::run_host (core/launch.h),
+// for both ways a wall runs: the in-process launcher (one thread per node,
+// over one shared Fabric or per-node SocketFabrics) and wall_node
+// (examples/wall_node.cpp, one OS process per node — the paper's actual
+// deployment shape). The protocol machines cannot tell these apart, which
+// is what the ProtocolEquivalence suite proves.
 #pragma once
 
 #include <atomic>
@@ -23,8 +21,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
-#include <thread>
 #include <vector>
 
 #include "common/timing.h"
@@ -53,7 +49,7 @@ struct RecoveryEvent {
 using TileDisplayFn = std::function<void(int tile, const mpeg2::TileFrame&,
                                          const TileDisplayInfo&)>;
 
-// State the hosts of one wall share. In the threaded engines every host
+// State the hosts of one wall share. In the in-process launcher every host
 // points at the same instance; in the multi-process wall each process has
 // its own (its accounting is merged externally).
 struct HostShared {
@@ -63,19 +59,21 @@ struct HostShared {
   std::atomic<uint64_t> skipped{0};
   std::vector<net::ReliableStats> ep_stats;  // by node, written pre-join
   std::atomic<bool> root_stop{false};
-  // Decoder threads done with their stream (finished or killed). They then
-  // stay resident t-acking peer retransmissions until fabric shutdown, so a
-  // slow retransmit to an already-finished node is never falsely abandoned.
-  std::atomic<int> decoders_done{0};
-  // Splitter threads that consumed their whole stream and entered their
-  // resident drain loop. The multi-process wall uses this (plus a linger)
-  // to decide when a splitter process may tear its fabric down.
+  // Hosts done with their role's work, by role: the root once every
+  // decoder reported and root_stop is up, a splitter once it consumed its
+  // whole stream, a decoder once it finished its stream or was killed. Each
+  // then stays resident t-acking peer retransmissions until fabric
+  // shutdown, so a slow retransmit to an already-finished node is never
+  // falsely abandoned.
+  std::atomic<int> root_done{0};
   std::atomic<int> splitters_done{0};
+  std::atomic<int> decoders_done{0};
   std::mutex acct_mu;  // guards acct
   proto::WireAccounting acct;
 
-  // Count one host done on `counter` (decoders_done or splitters_done) and
-  // wake every wait_done() caller.
+  // The done-count of `node`'s role.
+  std::atomic<int>& done_count(const proto::Topology& topo, int node);
+  // Count one host done on `counter` and wake every wait_done() caller.
   void mark_done(std::atomic<int>& counter);
   // Block until `counter` reaches n.
   void wait_done(const std::atomic<int>& counter, int n);
@@ -84,40 +82,6 @@ struct HostShared {
   std::mutex done_mu_;
   std::condition_variable done_cv_;
 };
-
-// The orderly end of a wall whose node hosts all run on threads of this
-// process (ClusterPipeline::run and run_socket_wall). `fabrics` lists every
-// backend the hosts use (one shared in-process Fabric, or one SocketFabric
-// per node); `root_fabric` is the one the root host receives on. Each step
-// ends on the event it waits for:
-//   1. every decoder thread counted itself done (finished or killed);
-//   2. root_stop plus a wake of the root's receive ends the root's health
-//      monitor loop, and the root thread is joined;
-//   3. the tail of transport acks drains, within a 250 ms bound: real
-//      sockets may lose some, and fault-delayed messages may never land;
-//   4. every fabric shuts down, which releases the resident node loops,
-//      and the node threads are joined.
-void finish_wall(HostShared& shared, int tiles, int root,
-                 net::FabricBackend& root_fabric,
-                 std::span<net::FabricBackend* const> fabrics,
-                 std::thread& root_thread,
-                 std::vector<std::thread>& node_threads);
-
-void accumulate_transport(net::ReliableStats* into,
-                          const net::ReliableStats& s);
-
-// Map a state-machine emission onto the transport and record it.
-void emit(net::ReliableEndpoint& ep, HostShared& shared, int src,
-          proto::Outgoing o);
-
-// Exchanges are built by the host (they carry extracted pixels), so they
-// are recorded with their typed form to feed the per-picture matrices.
-void emit_exchange(net::ReliableEndpoint& ep, HostShared& shared, int src,
-                   int dst, const proto::ExchangeMsg& msg);
-
-// Decode a received wire body. The transport CRC-verified it, so a decode
-// failure is a local protocol bug, not damage — crash loudly.
-proto::AnyMsg decode_trusted(const net::Message& m);
 
 // --- Root host (Table 3, root) + health monitor ----------------------------
 
@@ -167,11 +131,6 @@ struct SplitterHost {
 
   int self() const { return topo.splitter(index); }
 
-  // Post this node's two receive buffers. The threaded pipeline posts them
-  // centrally before the threads start; a per-node fabric (sockets) has no
-  // central place, so the host does it itself at the top of run-of-node.
-  void post_initial_credits();
-
   void apply(proto::SplitterNode::Step step);
   void handle(net::Message& m);
   void pump(double timeout);
@@ -209,9 +168,6 @@ struct DecoderHost {
               obs::MetricsRegistry* metrics);
 
   int self() const { return topo.decoder(home_tile); }
-
-  // See SplitterHost::post_initial_credits().
-  void post_initial_credits();
 
   TileDecoder::DisplayFn display_fn(int tile);
   TileDecoder& dec(int tile);

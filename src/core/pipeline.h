@@ -6,7 +6,7 @@
 // ack redirection, one-picture-ahead go-ahead gating, heartbeat monitoring,
 // death detection, resynchronization-picture selection, adopt-vs-degrade
 // rerouting, skip broadcasts — lives in the proto/ node state machines
-// (proto/nodes.h). This file only *hosts* them: one thread per node pumps a
+// (proto/nodes.h). The launcher only *hosts* them: one thread per node pumps a
 // net::ReliableEndpoint, decodes incoming wire messages, feeds them to its
 // state machine and transmits whatever the machine returns, running the
 // actual compute (splitting, pixel extraction, tile decoding) when the
@@ -24,71 +24,16 @@
 //   * a node the root declares dead is fenced off (Fabric::kill) and dropped
 //     from every endpoint's retransmit queues (forget_peer).
 //
-// On this host the threads share one core, so this pipeline demonstrates
-// correctness and protocol liveness; scalability numbers come from the
-// discrete-event simulator (src/sim) replaying lockstep-measured costs.
+// ClusterPipeline is the in-process deployment of the one wall launcher
+// (core/launch.h): one thread per node over one shared net::Fabric.
 #pragma once
 
-#include <functional>
 #include <span>
 
-#include "common/traffic_matrix.h"
-#include "core/hosts.h"
-#include "core/tile_decoder.h"
-#include "net/fabric.h"
-#include "obs/metrics.h"
-#include "net/reliable.h"
-#include "proto/nodes.h"
+#include "core/launch.h"
 #include "wall/geometry.h"
 
 namespace pdw::core {
-
-struct FtStats {
-  net::ReliableStats transport;   // aggregated over every node's endpoint
-  uint64_t degraded_frames = 0;   // emissions flagged non-bit-exact
-  uint64_t skipped_pictures = 0;  // per-tile pictures lost to abandoned sends
-  std::vector<RecoveryEvent> recoveries;
-};
-
-struct ClusterStats {
-  int pictures = 0;
-  double wall_seconds = 0;
-  double fps = 0;
-  std::vector<net::NodeCounters> node_counters;  // by node id
-  // Transport-level bytes (includes retransmits and transport acks).
-  TrafficMatrix traffic_matrix;
-  // Protocol-level emissions (heartbeats and retransmits excluded) —
-  // directly comparable with LockstepPipeline::accounting().
-  proto::WireAccounting wire;
-  int nodes = 0;
-  FtStats ft;
-};
-
-struct ProtocolConfig {
-  net::ReliableConfig reliable;
-  double heartbeat_interval_s = 0.02;
-  // Default is "effectively never": a fault-free run must not declare
-  // anything dead no matter how badly the scheduler (or a sanitizer)
-  // stalls a thread. Fault tests override with something small.
-  double heartbeat_timeout_s = 1e9;
-};
-
-// The policy enum lives with the rest of the protocol; core keeps the
-// spelling for existing callers.
-using RecoveryPolicy = proto::RecoveryPolicy;
-
-struct FtOptions {
-  ProtocolConfig protocol;
-  const net::FaultInjector* injector = nullptr;  // borrowed; may be null
-  RecoveryPolicy recovery = RecoveryPolicy::kAdopt;
-  // Also record per-picture tile x tile exchange matrices in stats.wire
-  // (test_parallel_equivalence compares them against the lockstep traces).
-  bool per_picture_exchange = false;
-  // Registry telemetry lands in (nullptr: the process-global one).
-  obs::MetricsRegistry* metrics = nullptr;
-  // Adaptive per-GOP tile rebalancing. The engine fills in `geo` itself.
-  proto::RootNode::AdaptivePartition adaptive;
-};
 
 class ClusterPipeline {
  public:

@@ -1,38 +1,15 @@
-// The wall over real UDP sockets, in one process: one thread per node, each
-// with its *own* SocketFabric, discovered through a genuine UDP rendezvous —
-// exactly the multi-process deployment shape (examples/wall_node.cpp) minus
-// fork/exec, so tests and CI can exercise the socket transport, the
-// rendezvous flow and real loopback loss without process management.
-//
-// Loss/delay/duplication are applied by the deterministic UDP impairment
-// proxy (net/impair.h) when configured — the datagrams really do vanish on
-// the socket path, unlike the in-process fabric's injected faults.
+// The wall over real UDP sockets, in one process: the one wall launcher
+// (core/launch.h) with one SocketFabric per node, discovered through a
+// genuine UDP rendezvous — the multi-process deployment shape
+// (examples/wall_node.cpp) minus fork/exec.
 #pragma once
 
 #include <span>
 
-#include "core/pipeline.h"
-#include "net/impair.h"
+#include "core/launch.h"
+#include "wall/geometry.h"
 
 namespace pdw::core {
-
-struct SocketWallOptions {
-  ProtocolConfig protocol;
-  RecoveryPolicy recovery = RecoveryPolicy::kAdopt;
-  // Also record per-picture tile x tile exchange matrices in stats.wire.
-  bool per_picture_exchange = false;
-  obs::MetricsRegistry* metrics = nullptr;
-  // Route every datagram through the impairment proxy with this schedule.
-  bool impair = false;
-  net::ImpairConfig impair_cfg;
-  double rendezvous_timeout_s = 20.0;
-  // Adaptive per-GOP tile rebalancing. The engine fills in `geo` itself.
-  proto::RootNode::AdaptivePartition adaptive;
-  // Telemetry sideband: when telemetry_port != 0, one process-wide exporter
-  // streams metric/span deltas to a collector at 127.0.0.1:telemetry_port.
-  uint16_t telemetry_port = 0;
-  double telemetry_interval_s = 0.2;
-};
 
 // Run the full wall over per-node UDP socket fabrics on loopback. The
 // returned stats are shaped exactly like ClusterPipeline::run()'s —
@@ -41,6 +18,6 @@ struct SocketWallOptions {
 ClusterStats run_socket_wall(const wall::TileGeometry& geo, int k,
                              std::span<const uint8_t> es,
                              const TileDisplayFn& on_display,
-                             SocketWallOptions opts = {});
+                             FtOptions opts = {});
 
 }  // namespace pdw::core

@@ -29,6 +29,9 @@ struct ImpairConfig {
   double delay = 0;      // P(datagram held back)
   double delay_s = 0.002;  // how long a held datagram waits (reorders it
                            // past everything forwarded in the meantime)
+
+  // Whether the proxy would impair anything at all.
+  bool any() const { return loss > 0 || dup > 0 || delay > 0; }
 };
 
 class ImpairProxy {

@@ -43,13 +43,6 @@ struct LinkModel {
   }
 };
 
-// How the root assigns pictures to second-level splitters. The paper uses
-// round-robin and names dynamic load balancing as future work (§6).
-enum class RootSchedule {
-  kRoundRobin,
-  kLeastLoaded,  // send to the splitter that will go idle first
-};
-
 // Fault schedule replayed by the DES — mirrors the threaded runtime's fault
 // handling (net/fault.h + core/pipeline.h) on the modeled cluster, so
 // recovery latency and fps-under-faults can be predicted without running
@@ -94,7 +87,6 @@ struct SimParams {
   int k = 1;              // second-level splitters
   bool two_level = true;  // false: 1-(m,n), the root splits macroblocks itself
   LinkModel link;
-  RootSchedule schedule = RootSchedule::kRoundRobin;
   // Scale all measured compute times by this factor (1.0 = this host's
   // speed). Exposed so experiments can model slower/faster node CPUs.
   double cpu_scale = 1.0;

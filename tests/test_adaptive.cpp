@@ -215,13 +215,12 @@ TEST(AdaptivePartitioning, SocketWallBitExactUnderRealLossAcrossEpochs) {
   lockstep.run(nullptr, nullptr);
   ASSERT_GE(lockstep.partitions().latest_epoch(), 1u);
 
-  core::SocketWallOptions so;
+  core::FtOptions so;
   so.adaptive = eager_adaptive();
-  so.impair = true;
-  so.impair_cfg.seed = 23;
-  so.impair_cfg.loss = 0.05;
-  so.impair_cfg.delay = 0.05;
-  so.impair_cfg.delay_s = 0.002;
+  so.impair.seed = 23;
+  so.impair.loss = 0.05;
+  so.impair.delay = 0.05;
+  so.impair.delay_s = 0.002;
 
   EpochAssembler wall{geo, lockstep.partitions()};
   const core::ClusterStats stats = core::run_socket_wall(

@@ -310,7 +310,7 @@ TEST(ProtocolEquivalence, SocketMatchesThreadedWireForWire) {
   core::ClusterPipeline threaded(geo, k, es, ft);
   const core::ClusterStats tstats = threaded.run(nullptr);
 
-  core::SocketWallOptions so;
+  core::FtOptions so;
   so.per_picture_exchange = true;
   const core::ClusterStats sstats = core::run_socket_wall(geo, k, es, nullptr, so);
 
@@ -337,13 +337,12 @@ TEST(ProtocolEquivalence, SocketWallBitExactUnderRealLoss) {
   const auto es = make_stream(w, h, SceneKind::kMovingObjects, 8);
   wall::TileGeometry geo(w, h, 2, 2, 0);
 
-  core::SocketWallOptions so;
-  so.impair = true;
-  so.impair_cfg.seed = 11;
-  so.impair_cfg.loss = 0.05;
-  so.impair_cfg.dup = 0.02;
-  so.impair_cfg.delay = 0.05;
-  so.impair_cfg.delay_s = 0.002;
+  core::FtOptions so;
+  so.impair.seed = 11;
+  so.impair.loss = 0.05;
+  so.impair.dup = 0.02;
+  so.impair.delay = 0.05;
+  so.impair.delay_s = 0.002;
 
   std::map<int, std::unique_ptr<wall::WallAssembler>> pending;
   std::map<int, int> tiles_seen;

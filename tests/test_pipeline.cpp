@@ -52,8 +52,8 @@ struct ThreadedRun {
 };
 
 ThreadedRun threaded_decode(const std::vector<uint8_t>& es,
-                            const wall::TileGeometry& geo, int k) {
-  ClusterPipeline pipeline(geo, k, es);
+                            const wall::TileGeometry& geo, int k,
+                            bool socket = false) {
   struct Pending {
     std::unique_ptr<wall::WallAssembler> assembler;
     int tiles = 0;
@@ -62,8 +62,9 @@ ThreadedRun threaded_decode(const std::vector<uint8_t>& es,
   std::map<int, Frame> finished;
 
   ThreadedRun run;
-  run.stats = pipeline.run([&](int tile, const mpeg2::TileFrame& tf,
-                               const TileDisplayInfo& info) {
+  const core::TileDisplayFn on_display = [&](int tile,
+                                             const mpeg2::TileFrame& tf,
+                                             const TileDisplayInfo& info) {
     Pending& p = pending[info.display_index];
     if (!p.assembler) p.assembler = std::make_unique<wall::WallAssembler>(geo);
     p.assembler->add_tile(tile, tf);
@@ -72,7 +73,9 @@ ThreadedRun threaded_decode(const std::vector<uint8_t>& es,
       finished.emplace(info.display_index, p.assembler->frame());
       pending.erase(info.display_index);
     }
-  });
+  };
+  run.stats = socket ? core::run_socket_wall(geo, k, es, on_display)
+                     : ClusterPipeline(geo, k, es).run(on_display);
   EXPECT_TRUE(pending.empty());
   int next = 0;
   while (finished.count(next)) {
@@ -116,30 +119,56 @@ INSTANTIATE_TEST_SUITE_P(Configs, ThreadedPipeline,
                          });
 
 TEST(ThreadedPipelineStats, TrafficAccountingIsConserved) {
+  // Every node's counters and traffic-matrix row come from that node's own
+  // backend, so on either transport a row sums to the node's sent bytes.
+  // Only the in-process fabric also conserves bytes end to end: a socket
+  // receiver may shut down with datagrams still in flight.
   const int w = 256, h = 192;
   const auto es = make_stream(w, h, 6);
   wall::TileGeometry geo(w, h, 2, 2, 0);
-  const auto run = threaded_decode(es, geo, 2);
+  for (const bool socket : {false, true}) {
+    SCOPED_TRACE(socket ? "socket" : "in-process");
+    const auto run = threaded_decode(es, geo, 2, socket);
 
-  uint64_t sent = 0, recv = 0;
-  for (const auto& c : run.stats.node_counters) {
-    sent += c.sent_bytes;
-    recv += c.recv_bytes;
-  }
-  EXPECT_EQ(sent, recv);
-  EXPECT_GT(sent, 0u);
-
-  // Traffic matrix row/column sums equal node counters.
-  const int nodes = run.stats.nodes;
-  for (int n = 0; n < nodes; ++n) {
-    uint64_t row = 0, col = 0;
-    for (int d = 0; d < nodes; ++d) {
-      row += run.stats.traffic_matrix.at(n, d);
-      col += run.stats.traffic_matrix.at(d, n);
+    uint64_t sent = 0, recv = 0;
+    for (const auto& c : run.stats.node_counters) {
+      sent += c.sent_bytes;
+      recv += c.recv_bytes;
     }
-    EXPECT_EQ(row, run.stats.node_counters[size_t(n)].sent_bytes);
-    EXPECT_EQ(col, run.stats.node_counters[size_t(n)].recv_bytes);
+    EXPECT_GT(sent, 0u);
+    if (!socket) EXPECT_EQ(sent, recv);
+
+    const int nodes = run.stats.nodes;
+    ASSERT_EQ(run.stats.node_counters.size(), size_t(nodes));
+    for (int n = 0; n < nodes; ++n) {
+      uint64_t row = 0, col = 0;
+      for (int d = 0; d < nodes; ++d) {
+        row += run.stats.traffic_matrix.at(n, d);
+        col += run.stats.traffic_matrix.at(d, n);
+      }
+      EXPECT_EQ(row, run.stats.node_counters[size_t(n)].sent_bytes) << n;
+      if (!socket)
+        EXPECT_EQ(col, run.stats.node_counters[size_t(n)].recv_bytes) << n;
+    }
   }
+}
+
+TEST(WallLauncher, RejectsFaultOptionsOfTheOtherTransport) {
+  // A fault injector drives only the in-process fabric and impairment only
+  // the socket path; either mismatch fails a PDW_CHECK before any thread
+  // starts, so it surfaces as a plain exception on the caller's thread.
+  const int w = 128, h = 96;
+  const auto es = make_stream(w, h, 3);
+  wall::TileGeometry geo(w, h, 2, 1, 0);
+  const net::FaultInjector injector(1, net::FaultRates{.drop = 0.1});
+  core::FtOptions faulted;
+  faulted.injector = &injector;
+  EXPECT_THROW(core::run_socket_wall(geo, 1, es, nullptr, faulted),
+               InternalError);
+  core::FtOptions impaired;
+  impaired.impair.loss = 0.1;
+  EXPECT_THROW(ClusterPipeline(geo, 1, es, impaired).run(nullptr),
+               InternalError);
 }
 
 TEST(ThreadedPipelineStats, RootSendsOnlyToSplitters) {

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "core/socket_wall.h"
 #include "enc/encoder.h"
 #include "net/impair.h"
@@ -414,7 +415,7 @@ TEST(TelemetrySideband, SocketWallStreamsOneMergedTrace) {
   wall::TileGeometry geo(w, h, 2, 2, 0);
 
   obs::MetricsRegistry reg;
-  core::SocketWallOptions so;
+  core::FtOptions so;
   so.metrics = &reg;
   so.telemetry_port = collector.endpoint().port;
   so.telemetry_interval_s = 0.05;
@@ -448,6 +449,28 @@ TEST(TelemetrySideband, SocketWallStreamsOneMergedTrace) {
   EXPECT_NE(trace.find("pic_flow"), std::string::npos);  // cross-pid flows
   EXPECT_NE(trace.find("process_name"), std::string::npos);
   EXPECT_NE(trace.find("clockOffsets"), std::string::npos);
+}
+
+TEST(TelemetrySideband, InProcessWallStreamsTelemetryToo) {
+  // The sideband is a launcher option, not a transport one: the in-process
+  // wall announces and flushes its nodes exactly like the socket wall.
+  Collector collector;
+  ASSERT_TRUE(collector.ok());
+  collector.start();
+  const int w = 256, h = 192;
+  const auto es = tiny_stream(w, h, 4);
+  wall::TileGeometry geo(w, h, 2, 1, 0);
+  obs::MetricsRegistry reg;
+  core::FtOptions ft;
+  ft.metrics = &reg;
+  ft.telemetry_port = collector.endpoint().port;
+  ft.telemetry_interval_s = 0.05;
+  core::ClusterPipeline(geo, 1, es, ft).run(nullptr);
+  ASSERT_TRUE(eventually(
+      [&] { return collector.all_nodes_seen() && collector.all_bye(); }));
+  collector.stop();
+  EXPECT_EQ(collector.nodes_expected(), 4);
+  EXPECT_GT(collector.merged_metrics().counter_total("pictures_decoded"), 0u);
 }
 
 }  // namespace
