@@ -243,8 +243,10 @@ void SplitterHost::handle(net::Message& m) {
 
 void SplitterHost::pump(double timeout) {
   net::Message m;
-  if (ep.recv(&m, timeout) == net::ReliableEndpoint::Status::kMessage)
-    handle(m);
+  const auto st = ep.recv(&m, timeout);
+  gone = st == net::ReliableEndpoint::Status::kShutdown ||
+         st == net::ReliableEndpoint::Status::kDead;
+  if (st == net::ReliableEndpoint::Status::kMessage) handle(m);
   for (const net::AbandonedSend& ab : ep.take_abandoned())
     apply(node.on_send_failure(proto::SendFailure{
         ab.dst, proto::MsgType(ab.type), ab.seq, ab.aux}));
@@ -252,9 +254,9 @@ void SplitterHost::pump(double timeout) {
 
 void SplitterHost::run() {
   while (true) {
-    while (!node.has_picture() && !node.ended()) pump(0.02);
+    while (!gone && !node.has_picture() && !node.ended()) pump(0.02);
     queue_depth->set(node.queue_depth());
-    if (!node.has_picture()) break;
+    if (gone || !node.has_picture()) break;
     Outgoing go_ahead;
     proto::PictureMsg pic = node.pop_picture(&go_ahead);
     emit(ep, shared, self(), std::move(go_ahead));
@@ -290,8 +292,9 @@ void SplitterHost::run() {
     // decoder (redirection made them land here).
     {
       PDW_TRACE_SPAN(obs::span::kAnidWait, self(), i);
-      while (!node.prev_acked(i)) pump(0.02);
+      while (!gone && !node.prev_acked(i)) pump(0.02);
     }
+    if (gone) break;
 
     if (!result.status.ok()) {
       // Undecodable headers: nobody can split or decode the picture.

@@ -119,6 +119,7 @@ struct SplitterHost {
   MacroblockSplitter splitter;
   wall::PartitionTable table;  // epochs learned from the root's updates
   bool adaptive = false;       // emit a cost report after every split
+  bool gone = false;  // fabric shut down or node fenced: stop every wait
 
   obs::SplitterInstruments inst;
   obs::Gauge* queue_depth = nullptr;
@@ -133,7 +134,7 @@ struct SplitterHost {
 
   void apply(proto::SplitterNode::Step step);
   void handle(net::Message& m);
-  void pump(double timeout);
+  void pump(double timeout);  // sets `gone` on shutdown or death
   void run();
 };
 

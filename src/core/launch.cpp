@@ -182,7 +182,7 @@ std::unique_ptr<obs::TelemetryExporter> start_telemetry(
     std::vector<uint16_t> hosted) {
   if (ft.telemetry_port == 0) return nullptr;
   obs::TelemetryExporterConfig cfg;
-  cfg.collector = {obs::kTelemetryLoopbackIp, ft.telemetry_port};
+  cfg.collector = {net::kLoopbackIp, ft.telemetry_port};
   cfg.interval_s = ft.telemetry_interval_s;
   cfg.metrics = ft.metrics;
   cfg.k = uint16_t(topo.k);

@@ -10,9 +10,8 @@
 // thread, and doubles as a synchronization barrier.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 namespace pdw::core {
 
@@ -59,10 +58,8 @@ inline uint8_t conceal_fill_cr(const MeiInstruction& i) {
   return uint8_t(i.peer & 0xFF);
 }
 
+// Wire size of one instruction: [op][ref][mb_x][mb_y][peer], written and
+// read once, by proto/wire.cpp's put_mei/take_mei.
 inline constexpr size_t kMeiWireBytes = 8;
-
-void serialize_mei(const std::vector<MeiInstruction>& list,
-                   std::vector<uint8_t>* out);
-std::vector<MeiInstruction> deserialize_mei(std::span<const uint8_t> data);
 
 }  // namespace pdw::core

@@ -32,6 +32,9 @@ PicInfo PicInfo::from(uint32_t index, const mpeg2::PictureHeader& ph,
 
 namespace {
 
+// state (12+8+2) + skip_bits 1 + addresses/counts (4+2+4+2+4+2) + len 4.
+constexpr size_t kRunHeaderBytes = 22 + 1 + 18 + 4;
+
 void write_state(ByteWriter& w, const MbState& st) {
   for (int c = 0; c < 3; ++c) w.i32(st.dc_pred[c]);
   for (int s = 0; s < 2; ++s)
@@ -76,14 +79,9 @@ PicInfo read_pic_info(ByteReader& r) {
 
 }  // namespace
 
-size_t SpRun::header_wire_bytes() const {
-  // state (12+8+2) + skip_bits 1 + addresses/counts (4+2+4+2+4+2) + len 4.
-  return 22 + 1 + 18 + 4;
-}
-
 size_t SubPicture::wire_bytes() const {
   size_t n = 14 + 4;  // PicInfo + run count
-  for (const SpRun& run : runs) n += run.header_wire_bytes() + run.payload.size();
+  for (const SpRun& run : runs) n += kRunHeaderBytes + run.payload.size();
   return n;
 }
 
@@ -121,7 +119,11 @@ SubPicture deserialize_impl(std::span<const uint8_t> data,
   ByteReader r(data);
   SubPicture sp;
   sp.info = read_pic_info(r);
+  // The run count comes off the network: bound it by the bytes that could
+  // hold that many run headers before allocating anything for it.
   const uint32_t count = r.u32();
+  PDW_CHECK_LE(count, r.remaining() / kRunHeaderBytes)
+      << "sub-picture run count exceeds its body";
   sp.runs.resize(count);
   for (SpRun& run : sp.runs) {
     run.state = read_state(r);
@@ -134,20 +136,16 @@ SubPicture deserialize_impl(std::span<const uint8_t> data,
     run.trail_skip_count = r.u16();
     const uint32_t len = r.u32();
     const size_t off = r.pos();
-    auto payload = r.bytes(len);
+    const auto payload = r.bytes(len);
+    PDW_CHECK(r.ok()) << "truncated sub-picture";
     run.payload = parent ? parent->view(off, len)
                          : mem::Bytes::copy_of(payload);
   }
-  PDW_CHECK(r.done()) << "trailing bytes in sub-picture";
+  PDW_CHECK(r.done()) << "malformed sub-picture";
   return sp;
 }
 
 }  // namespace
-
-void SubPicture::serialize(std::vector<uint8_t>* out) const {
-  ByteWriter w(out);
-  serialize_into(&w);
-}
 
 mem::Bytes SubPicture::serialize_pooled() const {
   const size_t n = wire_bytes();
@@ -164,31 +162,6 @@ SubPicture SubPicture::deserialize(std::span<const uint8_t> data) {
 
 SubPicture SubPicture::deserialize(const mem::Bytes& data) {
   return deserialize_impl(data.span(), &data);
-}
-
-void StreamInfo::serialize(std::vector<uint8_t>* out) const {
-  ByteWriter w(out);
-  w.i32(seq.width);
-  w.i32(seq.height);
-  w.i32(seq.frame_rate_code);
-  w.i32(seq.bit_rate_value);
-  w.u8(seq.progressive_sequence ? 1 : 0);
-  for (int i = 0; i < 64; ++i) w.u8(seq.intra_quant[size_t(i)]);
-  for (int i = 0; i < 64; ++i) w.u8(seq.non_intra_quant[size_t(i)]);
-}
-
-StreamInfo StreamInfo::deserialize(std::span<const uint8_t> data) {
-  ByteReader r(data);
-  StreamInfo si;
-  si.seq.width = r.i32();
-  si.seq.height = r.i32();
-  si.seq.frame_rate_code = r.i32();
-  si.seq.bit_rate_value = r.i32();
-  si.seq.progressive_sequence = r.u8() != 0;
-  for (int i = 0; i < 64; ++i) si.seq.intra_quant[size_t(i)] = r.u8();
-  for (int i = 0; i < 64; ++i) si.seq.non_intra_quant[size_t(i)] = r.u8();
-  PDW_CHECK(r.done());
-  return si;
 }
 
 }  // namespace pdw::core

@@ -66,7 +66,6 @@ struct SpRun {
     return num_coded + lead_skip_count + trail_skip_count;
     // interior skips are counted by the decoder as it parses increments
   }
-  size_t header_wire_bytes() const;
 };
 
 struct SubPicture {
@@ -76,7 +75,6 @@ struct SubPicture {
   size_t wire_bytes() const;     // serialized size (what goes on the network)
   size_t payload_bytes() const;  // raw slice bytes only (no SPH overhead)
 
-  void serialize(std::vector<uint8_t>* out) const;
   // Exact-size pooled serialization (wire_bytes() sizes the buffer up
   // front; no growth reallocations).
   mem::Bytes serialize_pooled() const;
@@ -85,7 +83,8 @@ struct SubPicture {
   void serialize_into(ByteWriter* w) const;
   // Span flavour copies payloads; the Bytes flavour makes each run payload
   // a view into `data`'s block (the transport buffer stays pinned until the
-  // last run dies).
+  // last run dies). Malformed bytes — truncated, trailing, or a run count
+  // the body cannot hold — fail a PDW_CHECK (CheckError).
   static SubPicture deserialize(std::span<const uint8_t> data);
   static SubPicture deserialize(const mem::Bytes& data);
 };
@@ -93,9 +92,6 @@ struct SubPicture {
 // Sequence-level information distributed once by the root splitter.
 struct StreamInfo {
   mpeg2::SequenceHeader seq;
-
-  void serialize(std::vector<uint8_t>* out) const;
-  static StreamInfo deserialize(std::span<const uint8_t> data);
 };
 
 }  // namespace pdw::core

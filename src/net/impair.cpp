@@ -48,6 +48,7 @@ ImpairProxy::ImpairProxy(std::vector<Endpoint> real, ImpairConfig cfg)
   for (size_t i = 0; i < real_.size(); ++i) {
     Endpoint front;
     fds_.push_back(open_udp(Endpoint{kLoopbackIp, 0}, &front, 4 << 20));
+    PDW_CHECK_GE(fds_.back(), 0) << "cannot open an impairment proxy socket";
     fronts_.push_back(front);
   }
   thread_ = std::thread([this] { run(); });

@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "net/udp.h"
+#include "common/udp.h"
 
 namespace pdw::net {
 

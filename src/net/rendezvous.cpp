@@ -68,6 +68,7 @@ RendezvousStatus rendezvous_join(Endpoint server, int self, Endpoint local,
   checked_node_count(nodes);
   Endpoint bound;
   const int fd = open_udp(Endpoint{kLoopbackIp, 0}, &bound);
+  PDW_CHECK_GE(fd, 0) << "cannot open the rendezvous join socket";
 
   uint8_t join[20];
   store_le32(join + 0, kRvMagic);
@@ -134,6 +135,7 @@ RendezvousServer::RendezvousServer(int nodes, uint16_t port)
       joined_(size_t(nodes_), false),
       acked_(size_t(nodes_), false) {
   fd_ = open_udp(Endpoint{kLoopbackIp, port}, &local_);
+  PDW_CHECK_GE(fd_, 0) << "cannot bind the rendezvous port " << port;
 }
 
 RendezvousServer::~RendezvousServer() {

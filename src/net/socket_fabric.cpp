@@ -67,6 +67,7 @@ SocketFabric::SocketFabric(int self, int nodes, SocketFabricConfig cfg)
       std::clamp(cfg_.fragment_bytes, kMinFragmentBytes, kMaxFragmentBytes));
   fd_ = open_udp(Endpoint{kLoopbackIp, 0}, &local_,
                  cfg_.socket_buffer_bytes);
+  PDW_CHECK_GE(fd_, 0) << "cannot open the fabric's UDP socket";
   int one = 1;
   ::setsockopt(fd_, IPPROTO_IP, IP_RECVERR, &one, sizeof(one));
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);

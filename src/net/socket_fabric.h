@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "net/fabric.h"
-#include "net/udp.h"
+#include "common/udp.h"
 #include "obs/metrics.h"
 
 namespace pdw::net {

@@ -1,15 +1,10 @@
 #include "obs/collector.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 
 namespace pdw::obs {
 
@@ -45,49 +40,14 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-// Percentile over merged (bucket index -> count), same definition as
-// Histogram::percentile: lower edge of the bucket holding the
-// ceil(p/100 * n)-th sample.
-uint64_t bucket_percentile(const std::map<int, uint64_t>& buckets, uint64_t n,
-                           double p) {
-  if (n == 0) return 0;
-  const double clamped = std::min(std::max(p, 0.0), 100.0);
-  const uint64_t rank =
-      std::max<uint64_t>(1, uint64_t(std::ceil(clamped / 100.0 * double(n))));
-  uint64_t cum = 0;
-  for (const auto& [idx, c] : buckets) {
-    cum += c;
-    if (cum >= rank) return Histogram::bucket_lower(idx);
-  }
-  return Histogram::bucket_lower(Histogram::kBuckets - 1);
-}
-
 }  // namespace
 
 Collector::Collector(CollectorConfig cfg)
     : cfg_(cfg), epoch_(std::chrono::steady_clock::now()) {
-  fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd_ < 0) return;
-  int reuse = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(cfg_.port);
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    return;
-  }
-  // Short receive timeout: the loop stays responsive to probes (RTT
-  // accuracy) and still notices stop_ promptly.
-  timeval tv{};
-  tv.tv_usec = 20 * 1000;
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &blen) == 0)
-    local_ = TelemetryEndpoint{kTelemetryLoopbackIp, ntohs(bound.sin_port)};
+  // Best effort: ok() reports a port that could not be bound.
+  net::Endpoint bound;
+  fd_ = net::open_udp(net::Endpoint{0, cfg_.port}, &bound);
+  if (fd_ >= 0) local_ = net::Endpoint{net::kLoopbackIp, bound.port};
 }
 
 Collector::~Collector() {
@@ -116,16 +76,10 @@ void Collector::stop() {
 }
 
 void Collector::run_loop() {
-  uint8_t buf[64 * 1024];
-  while (!stop_.load(std::memory_order_relaxed)) {
-    sockaddr_in src{};
-    socklen_t slen = sizeof(src);
-    const ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0,
-                                 reinterpret_cast<sockaddr*>(&src), &slen);
-    if (n <= 0) continue;  // timeout or spurious error
-    handle_datagram(buf, size_t(n), ntohl(src.sin_addr.s_addr),
-                    ntohs(src.sin_port));
-  }
+  // 20 ms wait slices: a datagram (probes need prompt answers for accurate
+  // RTTs) ends the wait at once, and stop_ is still noticed promptly.
+  while (!stop_.load(std::memory_order_relaxed))
+    if (net::wait_readable(fd_, -1, 0.02).fd) poll();
 }
 
 void Collector::poll() {
@@ -134,17 +88,15 @@ void Collector::poll() {
   for (;;) {
     sockaddr_in src{};
     socklen_t slen = sizeof(src);
-    const ssize_t n =
-        ::recvfrom(fd_, buf, sizeof(buf), MSG_DONTWAIT,
-                   reinterpret_cast<sockaddr*>(&src), &slen);
+    const ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0,
+                                 reinterpret_cast<sockaddr*>(&src), &slen);
     if (n <= 0) break;
-    handle_datagram(buf, size_t(n), ntohl(src.sin_addr.s_addr),
-                    ntohs(src.sin_port));
+    handle_datagram(buf, size_t(n), net::from_sockaddr(src));
   }
 }
 
 void Collector::handle_datagram(const uint8_t* data, size_t len,
-                                uint32_t src_ip, uint16_t src_port) {
+                                net::Endpoint src) {
   const uint64_t t_recv = now_ns();
   TelemetryFrame f;
   if (!decode_frame(data, len, &f)) return;
@@ -157,15 +109,10 @@ void Collector::handle_datagram(const uint8_t* data, size_t len,
     reply.replies.push_back(
         ClockReplyRecord{p.seq, p.t0, t_recv, now_ns()});
     const std::vector<uint8_t> wire = encode_frame(reply);
-    const TelemetryEndpoint to =
-        p.reply_to.port != 0 ? p.reply_to
-                             : TelemetryEndpoint{src_ip, src_port};
-    sockaddr_in dst{};
-    dst.sin_family = AF_INET;
-    dst.sin_addr.s_addr = htonl(to.ip);
-    dst.sin_port = htons(to.port);
+    const sockaddr_in dst =
+        net::to_sockaddr(p.reply_to.port != 0 ? p.reply_to : src);
     ::sendto(fd_, wire.data(), wire.size(), 0,
-             reinterpret_cast<sockaddr*>(&dst), sizeof(dst));
+             reinterpret_cast<const sockaddr*>(&dst), sizeof(dst));
   }
   if (f.token == 0) return;  // probe-only senders carry no state
 
@@ -300,10 +247,12 @@ MetricsSnapshot Collector::merged_metrics() const {
     v.gauge = g.gauge;
     v.sum = g.sum;
     if (g.kind == MetricKind::kHistogram) {
-      v.p50 = bucket_percentile(g.buckets, g.count, 50);
-      v.p95 = bucket_percentile(g.buckets, g.count, 95);
-      v.p99 = bucket_percentile(g.buckets, g.count, 99);
-      for (const auto& [idx, c] : g.buckets)
+      const std::vector<std::pair<int, uint64_t>> b(g.buckets.begin(),
+                                                    g.buckets.end());
+      v.p50 = Histogram::percentile_of(b, g.count, 50);
+      v.p95 = Histogram::percentile_of(b, g.count, 95);
+      v.p99 = Histogram::percentile_of(b, g.count, 99);
+      for (const auto& [idx, c] : b)
         v.buckets.emplace_back(Histogram::bucket_lower(idx), c);
     }
     snap.values.push_back(std::move(v));

@@ -44,7 +44,7 @@ class Collector {
   Collector& operator=(const Collector&) = delete;
 
   bool ok() const { return fd_ >= 0; }
-  TelemetryEndpoint endpoint() const { return local_; }
+  net::Endpoint endpoint() const { return local_; }
 
   // Background receive loop (answers probes promptly — accurate RTTs need
   // this). stop() joins; idempotent.
@@ -103,13 +103,12 @@ class Collector {
     std::vector<SpanRecord> spans;  // local (sender) clock domain
   };
 
-  void handle_datagram(const uint8_t* data, size_t len, uint32_t src_ip,
-                       uint16_t src_port);
+  void handle_datagram(const uint8_t* data, size_t len, net::Endpoint src);
   void run_loop();
 
   CollectorConfig cfg_;
   int fd_ = -1;
-  TelemetryEndpoint local_{};
+  net::Endpoint local_{};
   std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex mu_;

@@ -5,18 +5,27 @@
 
 namespace pdw::obs {
 
-uint64_t Histogram::percentile(double p) const {
-  const uint64_t n = count();
+uint64_t Histogram::percentile_of(
+    std::span<const std::pair<int, uint64_t>> buckets, uint64_t n, double p) {
   if (n == 0) return 0;
   const double clamped = std::min(std::max(p, 0.0), 100.0);
   const uint64_t rank =
       std::max<uint64_t>(1, uint64_t(std::ceil(clamped / 100.0 * double(n))));
   uint64_t cum = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    cum += bucket(i);
+  for (const auto& [i, c] : buckets) {
+    cum += c;
     if (cum >= rank) return bucket_lower(i);
   }
   return bucket_lower(kBuckets - 1);
+}
+
+uint64_t Histogram::percentile(double p) const {
+  // observe() bumps the bucket before the count, so reading the count first
+  // keeps a concurrent sample from pushing the rank past the buckets read.
+  const uint64_t n = count();
+  std::pair<int, uint64_t> b[kBuckets];
+  for (int i = 0; i < kBuckets; ++i) b[i] = {i, bucket(i)};
+  return percentile_of(b, n, p);
 }
 
 void Histogram::merge(const Histogram& other) {

@@ -28,8 +28,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace pdw::obs {
@@ -104,6 +106,11 @@ class Histogram {
   uint64_t p50() const { return percentile(50); }
   uint64_t p95() const { return percentile(95); }
   uint64_t p99() const { return percentile(99); }
+
+  // percentile() over (bucket index, count) pairs in ascending index order
+  // holding n samples; the collector runs it on cross-process merges.
+  static uint64_t percentile_of(
+      std::span<const std::pair<int, uint64_t>> buckets, uint64_t n, double p);
 
   // Bucket-wise accumulation — how per-thread shards combine.
   void merge(const Histogram& other);

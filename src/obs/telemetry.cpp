@@ -1,75 +1,19 @@
 #include "obs/telemetry.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <string_view>
+
+#include "common/bytes.h"
 
 namespace pdw::obs {
 
 namespace {
 
-void put_u8(std::vector<uint8_t>& b, uint8_t v) { b.push_back(v); }
-void put_u16(std::vector<uint8_t>& b, uint16_t v) {
-  b.push_back(uint8_t(v));
-  b.push_back(uint8_t(v >> 8));
-}
-void put_u32(std::vector<uint8_t>& b, uint32_t v) {
-  put_u16(b, uint16_t(v));
-  put_u16(b, uint16_t(v >> 16));
-}
-void put_u64(std::vector<uint8_t>& b, uint64_t v) {
-  put_u32(b, uint32_t(v));
-  put_u32(b, uint32_t(v >> 32));
-}
-
-// Bounds-checked little-endian reader; any overrun latches fail.
-struct Reader {
-  const uint8_t* p;
-  size_t n;
-  size_t off = 0;
-  bool fail = false;
-
-  bool need(size_t k) {
-    if (n - off < k) {
-      fail = true;
-      return false;
-    }
-    return true;
-  }
-  uint8_t u8() {
-    if (!need(1)) return 0;
-    return p[off++];
-  }
-  uint16_t u16() {
-    if (!need(2)) return 0;
-    uint16_t v = uint16_t(p[off]) | uint16_t(p[off + 1]) << 8;
-    off += 2;
-    return v;
-  }
-  uint32_t u32() {
-    uint32_t lo = u16(), hi = u16();
-    return lo | hi << 16;
-  }
-  uint64_t u64() {
-    uint64_t lo = u32(), hi = u32();
-    return lo | hi << 32;
-  }
-  std::string_view bytes(size_t k) {
-    if (!need(k)) return {};
-    std::string_view s(reinterpret_cast<const char*>(p + off), k);
-    off += k;
-    return s;
-  }
-};
-
+// [magic u32][version u16][flags u16][token u64][seq u32][records u16].
 constexpr size_t kHeaderBytes = 4 + 2 + 2 + 8 + 4 + 2;
 constexpr size_t kMaxSpansPerRecord = 2000;  // 31 B each, fits a u16 length
 
@@ -91,84 +35,90 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
   for (const auto& m : f.metrics) intern(m.family);
   for (const auto& s : f.spans) intern(s.name);
 
-  std::vector<uint8_t> body;
+  std::vector<uint8_t> out;
+  ByteWriter w(&out);
+  w.u32(kTelemetryMagic);
+  w.u16(kTelemetryVersion);
+  w.u16(0);  // flags
+  w.u64(f.token);
+  w.u32(f.seq);
+  w.u16(0);  // record count, patched at the end
   uint16_t records = 0;
   auto begin_record = [&](TelemetryRecordType t) {
-    put_u8(body, uint8_t(t));
-    put_u16(body, 0);  // length, patched by end_record
+    w.u8(uint8_t(t));
+    w.u16(0);  // length, patched by end_record
     ++records;
-    return body.size();
+    return out.size();
   };
   auto end_record = [&](size_t payload_start) {
-    const size_t len = body.size() - payload_start;
-    body[payload_start - 2] = uint8_t(len);
-    body[payload_start - 1] = uint8_t(len >> 8);
+    store_le16(out.data() + payload_start - 2,
+               uint16_t(out.size() - payload_start));
   };
 
   if (!strings.empty()) {
     const size_t at = begin_record(TelemetryRecordType::kStrings);
-    put_u16(body, uint16_t(strings.size()));
+    w.u16(uint16_t(strings.size()));
     for (std::string_view s : strings) {
       const size_t len = std::min<size_t>(s.size(), 255);
-      put_u8(body, uint8_t(len));
-      body.insert(body.end(), s.begin(), s.begin() + long(len));
+      w.u8(uint8_t(len));
+      w.bytes({reinterpret_cast<const uint8_t*>(s.data()), len});
     }
     end_record(at);
   }
   if (f.hello) {
     const size_t at = begin_record(TelemetryRecordType::kHello);
-    put_u32(body, f.hello->os_pid);
-    put_u16(body, f.hello->k);
-    put_u16(body, f.hello->tiles);
-    put_u16(body, f.hello->nodes);
-    put_u16(body, uint16_t(f.hello->hosted.size()));
-    for (uint16_t n : f.hello->hosted) put_u16(body, n);
+    w.u32(f.hello->os_pid);
+    w.u16(f.hello->k);
+    w.u16(f.hello->tiles);
+    w.u16(f.hello->nodes);
+    w.u16(uint16_t(f.hello->hosted.size()));
+    for (uint16_t n : f.hello->hosted) w.u16(n);
     end_record(at);
   }
   for (const auto& pr : f.probes) {
     const size_t at = begin_record(TelemetryRecordType::kClockProbe);
-    put_u32(body, pr.seq);
-    put_u64(body, pr.t0);
-    put_u32(body, pr.reply_to.ip);
-    put_u16(body, pr.reply_to.port);
+    w.u32(pr.seq);
+    w.u64(pr.t0);
+    w.u32(pr.reply_to.ip);
+    w.u16(pr.reply_to.port);
     end_record(at);
   }
   for (const auto& rp : f.replies) {
     const size_t at = begin_record(TelemetryRecordType::kClockReply);
-    put_u32(body, rp.seq);
-    put_u64(body, rp.t0);
-    put_u64(body, rp.t1);
-    put_u64(body, rp.t2);
+    w.u32(rp.seq);
+    w.u64(rp.t0);
+    w.u64(rp.t1);
+    w.u64(rp.t2);
     end_record(at);
   }
   if (f.offset) {
     const size_t at = begin_record(TelemetryRecordType::kOffset);
-    put_u64(body, uint64_t(f.offset->offset_ns));
-    put_u64(body, f.offset->min_rtt_ns);
-    put_u32(body, f.offset->samples);
-    put_u8(body, f.offset->valid);
+    w.u64(uint64_t(f.offset->offset_ns));
+    w.u64(f.offset->min_rtt_ns);
+    w.u32(f.offset->samples);
+    w.u8(f.offset->valid);
     end_record(at);
   }
   for (const auto& m : f.metrics) {
     const size_t at = begin_record(TelemetryRecordType::kMetric);
-    put_u16(body, index.at(m.family));
-    put_u8(body, uint8_t(m.kind));
-    put_u16(body, uint16_t(m.node));
-    put_u16(body, uint16_t(m.stream));
+    w.u16(index.at(m.family));
+    w.u8(uint8_t(m.kind));
+    w.u16(uint16_t(m.node));
+    w.u16(uint16_t(m.stream));
     switch (m.kind) {
       case MetricKind::kCounter:
-        put_u64(body, m.count);
+        w.u64(m.count);
         break;
       case MetricKind::kGauge:
-        put_u64(body, uint64_t(m.gauge));
+        w.u64(uint64_t(m.gauge));
         break;
       case MetricKind::kHistogram:
-        put_u64(body, m.count);
-        put_u64(body, m.sum);
-        put_u8(body, uint8_t(m.buckets.size()));
+        w.u64(m.count);
+        w.u64(m.sum);
+        w.u8(uint8_t(m.buckets.size()));
         for (const auto& [idx, cnt] : m.buckets) {
-          put_u8(body, idx);
-          put_u64(body, cnt);
+          w.u8(idx);
+          w.u64(cnt);
         }
         break;
     }
@@ -178,16 +128,16 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
     const size_t count =
         std::min(kMaxSpansPerRecord, f.spans.size() - base);
     const size_t at = begin_record(TelemetryRecordType::kSpans);
-    put_u16(body, uint16_t(count));
+    w.u16(uint16_t(count));
     for (size_t i = 0; i < count; ++i) {
       const SpanRecord& s = f.spans[base + i];
-      put_u16(body, index.at(s.name));
-      put_u8(body, uint8_t(s.ph));
-      put_u32(body, uint32_t(s.pid));
-      put_u32(body, uint32_t(s.tid));
-      put_u64(body, s.ts_ns);
-      put_u64(body, s.dur_ns);
-      put_u32(body, s.pic);
+      w.u16(index.at(s.name));
+      w.u8(uint8_t(s.ph));
+      w.u32(uint32_t(s.pid));
+      w.u32(uint32_t(s.tid));
+      w.u64(s.ts_ns);
+      w.u64(s.dur_ns);
+      w.u32(s.pic);
     }
     end_record(at);
   }
@@ -195,87 +145,73 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
     const size_t at = begin_record(TelemetryRecordType::kBye);
     end_record(at);
   }
-
-  std::vector<uint8_t> out;
-  out.reserve(kHeaderBytes + body.size());
-  put_u32(out, kTelemetryMagic);
-  put_u16(out, kTelemetryVersion);
-  put_u16(out, 0);  // flags
-  put_u64(out, f.token);
-  put_u32(out, f.seq);
-  put_u16(out, records);
-  out.insert(out.end(), body.begin(), body.end());
+  store_le16(out.data() + kHeaderBytes - 2, records);
   return out;
 }
 
 bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
   *out = TelemetryFrame{};
-  Reader r{data, len};
-  if (r.u32() != kTelemetryMagic) return false;
-  if (r.u16() != kTelemetryVersion) return false;
+  ByteReader r({data, len});
+  if (r.u32() != kTelemetryMagic || r.u16() != kTelemetryVersion)
+    return false;
   r.u16();  // flags
   out->token = r.u64();
   out->seq = r.u32();
   const uint16_t records = r.u16();
-  if (r.fail) return false;
+  if (!r.ok()) return false;
 
   std::vector<std::string> strings;
   for (uint16_t rec = 0; rec < records; ++rec) {
     const uint8_t type = r.u8();
     const uint16_t rlen = r.u16();
-    if (r.fail || !r.need(rlen)) return false;
-    Reader pr{r.p + r.off, rlen};
-    r.off += rlen;
+    ByteReader pr(r.bytes(rlen));
+    if (!r.ok()) return false;
     switch (TelemetryRecordType(type)) {
       case TelemetryRecordType::kStrings: {
         const uint16_t count = pr.u16();
-        for (uint16_t i = 0; i < count && !pr.fail; ++i) {
-          const uint8_t slen = pr.u8();
-          strings.emplace_back(pr.bytes(slen));
+        for (uint16_t i = 0; i < count && pr.ok(); ++i) {
+          const auto s = pr.bytes(pr.u8());
+          strings.emplace_back(s.begin(), s.end());
         }
         break;
       }
       case TelemetryRecordType::kHello: {
-        HelloRecord h;
+        HelloRecord& h = out->hello.emplace();
         h.os_pid = pr.u32();
         h.k = pr.u16();
         h.tiles = pr.u16();
         h.nodes = pr.u16();
         const uint16_t count = pr.u16();
-        for (uint16_t i = 0; i < count && !pr.fail; ++i)
+        for (uint16_t i = 0; i < count && pr.ok(); ++i)
           h.hosted.push_back(pr.u16());
-        if (!pr.fail) out->hello = std::move(h);
         break;
       }
       case TelemetryRecordType::kClockProbe: {
-        ClockProbeRecord p;
+        ClockProbeRecord& p = out->probes.emplace_back();
         p.seq = pr.u32();
         p.t0 = pr.u64();
         p.reply_to.ip = pr.u32();
         p.reply_to.port = pr.u16();
-        if (!pr.fail) out->probes.push_back(p);
         break;
       }
       case TelemetryRecordType::kClockReply: {
-        ClockReplyRecord p;
+        ClockReplyRecord& p = out->replies.emplace_back();
         p.seq = pr.u32();
         p.t0 = pr.u64();
         p.t1 = pr.u64();
         p.t2 = pr.u64();
-        if (!pr.fail) out->replies.push_back(p);
         break;
       }
       case TelemetryRecordType::kOffset: {
-        OffsetRecord o;
+        OffsetRecord& o = out->offset.emplace();
         o.offset_ns = int64_t(pr.u64());
         o.min_rtt_ns = pr.u64();
         o.samples = pr.u32();
         o.valid = pr.u8();
-        if (!pr.fail) out->offset = o;
         break;
       }
       case TelemetryRecordType::kMetric: {
-        MetricRecord m;
+        MetricRecord& m = out->metrics.emplace_back();
         const uint16_t fam = pr.u16();
         if (fam >= strings.size()) return false;
         m.family = strings[fam];
@@ -293,7 +229,7 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
             m.count = pr.u64();
             m.sum = pr.u64();
             const uint8_t nb = pr.u8();
-            for (uint8_t i = 0; i < nb && !pr.fail; ++i) {
+            for (uint8_t i = 0; i < nb && pr.ok(); ++i) {
               const uint8_t idx = pr.u8();
               const uint64_t cnt = pr.u64();
               if (idx >= Histogram::kBuckets) return false;
@@ -304,13 +240,12 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
           default:
             return false;
         }
-        if (!pr.fail) out->metrics.push_back(std::move(m));
         break;
       }
       case TelemetryRecordType::kSpans: {
         const uint16_t count = pr.u16();
-        for (uint16_t i = 0; i < count && !pr.fail; ++i) {
-          SpanRecord s;
+        for (uint16_t i = 0; i < count && pr.ok(); ++i) {
+          SpanRecord& s = out->spans.emplace_back();
           const uint16_t name = pr.u16();
           if (name >= strings.size()) return false;
           s.name = strings[name];
@@ -320,7 +255,6 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
           s.ts_ns = pr.u64();
           s.dur_ns = pr.u64();
           s.pic = pr.u32();
-          if (!pr.fail) out->spans.push_back(std::move(s));
         }
         break;
       }
@@ -330,9 +264,9 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
       default:
         break;  // unknown record type: skip (forward compatibility)
     }
-    if (pr.fail) return false;
+    if (!pr.ok()) return false;
   }
-  return !r.fail;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -362,22 +296,10 @@ TelemetryExporter::TelemetryExporter(TelemetryExporterConfig cfg)
   token_ = (uint64_t(::getpid()) << 40) ^ steady_ticks() ^
            (uint64_t(reinterpret_cast<uintptr_t>(this)) << 17);
   if (token_ == 0) token_ = 1;
-  fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd_ < 0) return;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = 0;
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    return;
-  }
-  ::fcntl(fd_, F_SETFL, ::fcntl(fd_, F_GETFL, 0) | O_NONBLOCK);
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &blen) == 0)
-    local_ = TelemetryEndpoint{kTelemetryLoopbackIp, ntohs(bound.sin_port)};
+  // Best effort: without a socket every export call is a no-op.
+  net::Endpoint bound;
+  fd_ = net::open_udp(net::Endpoint{}, &bound);
+  if (fd_ >= 0) local_ = net::Endpoint{net::kLoopbackIp, bound.port};
 }
 
 TelemetryExporter::~TelemetryExporter() {
@@ -424,18 +346,20 @@ void TelemetryExporter::stop() {
   flush();
   TelemetryFrame bye;
   bye.bye = true;
-  bye.offset = [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    OffsetRecord o;
-    o.offset_ns = clock_.offset_ns();
-    o.min_rtt_ns = clock_.min_rtt_ns();
-    o.samples = clock_.samples();
-    o.valid = clock_.valid() ? 1 : 0;
-    return o;
-  }();
-  bye.hello = HelloRecord{uint32_t(::getpid()), cfg_.k, cfg_.tiles, cfg_.nodes,
-                          cfg_.hosted};
+  bye.offset = offset_record();
+  bye.hello = hello_record();
   send_frame(&bye);
+}
+
+HelloRecord TelemetryExporter::hello_record() const {
+  return HelloRecord{uint32_t(::getpid()), cfg_.k, cfg_.tiles, cfg_.nodes,
+                     cfg_.hosted};
+}
+
+OffsetRecord TelemetryExporter::offset_record() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return OffsetRecord{clock_.offset_ns(), clock_.min_rtt_ns(),
+                      clock_.samples(), uint8_t(clock_.valid() ? 1 : 0)};
 }
 
 void TelemetryExporter::send_frame(TelemetryFrame* frame) {
@@ -446,13 +370,10 @@ void TelemetryExporter::send_frame(TelemetryFrame* frame) {
     frame->seq = next_frame_seq_++;
   }
   const std::vector<uint8_t> wire = encode_frame(*frame);
-  sockaddr_in to{};
-  to.sin_family = AF_INET;
-  to.sin_addr.s_addr = htonl(cfg_.collector.ip);
-  to.sin_port = htons(cfg_.collector.port);
+  const sockaddr_in to = net::to_sockaddr(cfg_.collector);
   const ssize_t sent =
       ::sendto(fd_, wire.data(), wire.size(), 0,
-               reinterpret_cast<sockaddr*>(&to), sizeof(to));
+               reinterpret_cast<const sockaddr*>(&to), sizeof(to));
   if (sent > 0) {
     std::lock_guard<std::mutex> lock(mu_);
     ++datagrams_sent_;
@@ -515,28 +436,14 @@ void TelemetryExporter::flush() {
       std::lock_guard<std::mutex> lock(mu_);
       if (outstanding_.find(probe_seq) == outstanding_.end()) break;
     }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) break;
-    const auto remain =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    const int wait_ms = int(remain.count()) + 1;
-    pollfd pfd{fd_, POLLIN, 0};
-    if (::poll(&pfd, 1, wait_ms) <= 0) break;
+    const std::chrono::duration<double> remain =
+        deadline - std::chrono::steady_clock::now();
+    if (remain.count() <= 0 || !net::wait_readable(fd_, -1, remain.count()).fd)
+      break;
     poll_replies();
   }
 
   // --- gather export payload ---
-  HelloRecord hello{uint32_t(::getpid()), cfg_.k, cfg_.tiles, cfg_.nodes,
-                    cfg_.hosted};
-  OffsetRecord offset;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    offset.offset_ns = clock_.offset_ns();
-    offset.min_rtt_ns = clock_.min_rtt_ns();
-    offset.samples = clock_.samples();
-    offset.valid = clock_.valid() ? 1 : 0;
-  }
-
   std::vector<MetricRecord> metrics;
   const MetricsSnapshot snap = registry_or_global(cfg_.metrics).snapshot();
   {
@@ -571,8 +478,8 @@ void TelemetryExporter::flush() {
 
   // --- pack into frames under the datagram budget ---
   TelemetryFrame frame;
-  frame.hello = hello;
-  frame.offset = offset;
+  frame.hello = hello_record();
+  frame.offset = offset_record();
   size_t est = 128;
   auto maybe_ship = [&](size_t add) {
     if (est + add <= cfg_.max_datagram_bytes * 3 / 4) {

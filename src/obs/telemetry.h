@@ -13,9 +13,9 @@
 // delayed or duplicated replies from polluting the estimate, exactly like
 // the PR-8 RTO estimator ignores retransmitted acks.
 //
-// obs sits below net in the link graph (net links obs), so this header
-// speaks raw POSIX UDP and carries its own 6-byte endpoint type instead of
-// including net/fabric.h.
+// obs sits below net in the link graph (net links obs); the frames go through
+// the common/bytes.h codec and the socket through the common/udp.h helper,
+// both of which live in pdw_common under either layer.
 #pragma once
 
 #include <condition_variable>
@@ -29,22 +29,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/udp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace pdw::obs {
-
-// UDP endpoint in host byte order (mirror of net::Endpoint, duplicated so
-// obs does not depend on net).
-struct TelemetryEndpoint {
-  uint32_t ip = 0;
-  uint16_t port = 0;
-
-  friend bool operator==(const TelemetryEndpoint&,
-                         const TelemetryEndpoint&) = default;
-};
-
-inline constexpr uint32_t kTelemetryLoopbackIp = 0x7F000001u;
 
 // ---------------------------------------------------------------------------
 // Wire format. One datagram = one frame: a fixed header, then a sequence of
@@ -75,6 +64,8 @@ struct HelloRecord {
   uint16_t tiles = 0;  // decoders
   uint16_t nodes = 0;  // total wall size (1 + k + tiles)
   std::vector<uint16_t> hosted;  // proto node ids hosted by this process
+
+  friend bool operator==(const HelloRecord&, const HelloRecord&) = default;
 };
 
 struct MetricRecord {
@@ -87,6 +78,8 @@ struct MetricRecord {
   uint64_t sum = 0;
   // Non-empty histogram buckets as (bucket index, count).
   std::vector<std::pair<uint8_t, uint64_t>> buckets;
+
+  friend bool operator==(const MetricRecord&, const MetricRecord&) = default;
 };
 
 // A decoded trace event; names are owned strings (the sender's static
@@ -99,16 +92,21 @@ struct SpanRecord {
   uint64_t ts_ns = 0;  // sender's tracer clock domain
   uint64_t dur_ns = 0;
   uint32_t pic = 0xFFFFFFFFu;
+
+  friend bool operator==(const SpanRecord&, const SpanRecord&) = default;
 };
 
 struct ClockProbeRecord {
   uint32_t seq = 0;
-  uint64_t t0 = 0;               // exporter clock at send
-  TelemetryEndpoint reply_to{};  // zero: reply to the datagram source. Set
-                                 // when the forward path runs through an
-                                 // ImpairProxy (proxies forward one way
-                                 // only — a reply to the proxy's front
-                                 // socket would dead-end).
+  uint64_t t0 = 0;           // exporter clock at send
+  net::Endpoint reply_to{};  // zero: reply to the datagram source. Set
+                             // when the forward path runs through an
+                             // ImpairProxy (proxies forward one way
+                             // only — a reply to the proxy's front
+                             // socket would dead-end).
+
+  friend bool operator==(const ClockProbeRecord&,
+                         const ClockProbeRecord&) = default;
 };
 
 struct ClockReplyRecord {
@@ -116,6 +114,9 @@ struct ClockReplyRecord {
   uint64_t t0 = 0;  // echoed
   uint64_t t1 = 0;  // collector clock at receive
   uint64_t t2 = 0;  // collector clock at send
+
+  friend bool operator==(const ClockReplyRecord&,
+                         const ClockReplyRecord&) = default;
 };
 
 struct OffsetRecord {
@@ -123,6 +124,8 @@ struct OffsetRecord {
   uint64_t min_rtt_ns = 0;
   uint32_t samples = 0;
   uint8_t valid = 0;
+
+  friend bool operator==(const OffsetRecord&, const OffsetRecord&) = default;
 };
 
 struct TelemetryFrame {
@@ -135,6 +138,9 @@ struct TelemetryFrame {
   std::vector<ClockReplyRecord> replies;
   std::optional<OffsetRecord> offset;
   bool bye = false;
+
+  friend bool operator==(const TelemetryFrame&,
+                         const TelemetryFrame&) = default;
 };
 
 // Serialize a frame (builds the string table internally).
@@ -177,10 +183,10 @@ class ClockEstimator {
 // ---------------------------------------------------------------------------
 
 struct TelemetryExporterConfig {
-  TelemetryEndpoint collector{};  // where frames go
+  net::Endpoint collector{};  // where frames go
   // Where the collector should send probe replies; zero means "the source
   // address of the probe datagram" (the normal case).
-  TelemetryEndpoint reply_to{};
+  net::Endpoint reply_to{};
   double interval_s = 0.2;          // background flush period
   double probe_wait_s = 0.01;       // how long flush() blocks for a reply
   size_t max_datagram_bytes = 32 * 1024;
@@ -216,11 +222,11 @@ class TelemetryExporter {
 
   ClockEstimator clock() const;
   uint64_t token() const { return token_; }
-  TelemetryEndpoint local_endpoint() const { return local_; }
+  net::Endpoint local_endpoint() const { return local_; }
   // Redirect the collector's probe replies (e.g. straight at our socket when
   // the forward path runs through a one-way impairment proxy). Call before
   // start(); flush() snapshots it without locking.
-  void set_reply_to(TelemetryEndpoint ep) { cfg_.reply_to = ep; }
+  void set_reply_to(net::Endpoint ep) { cfg_.reply_to = ep; }
   uint64_t datagrams_sent() const;
   uint64_t bytes_sent() const;
   // Exporter clock (the tracer's domain — spans and probes agree).
@@ -232,6 +238,8 @@ class TelemetryExporter {
   };
 
   Tracer& tracer() const;
+  HelloRecord hello_record() const;
+  OffsetRecord offset_record() const;  // the current clock estimate
   void send_frame(TelemetryFrame* frame);
   void run_loop();
   void handle_reply(const ClockReplyRecord& r, uint64_t t3);
@@ -239,7 +247,7 @@ class TelemetryExporter {
   TelemetryExporterConfig cfg_;
   uint64_t token_ = 0;
   int fd_ = -1;
-  TelemetryEndpoint local_{};
+  net::Endpoint local_{};
 
   mutable std::mutex mu_;
   ClockEstimator clock_;

@@ -31,83 +31,46 @@ void finish_body(const Packed& p, const ByteWriter& w) {
   PDW_CHECK_EQ(w.size(), p.body.size());
 }
 
-// Defensive little-endian reader: every accessor reports failure instead of
-// CHECK-crashing, so decode() survives arbitrary bytes (fuzz_wire.cpp).
-class TryReader {
- public:
-  explicit TryReader(std::span<const uint8_t> data) : data_(data) {}
-
-  bool u8(uint8_t* v) { return read(v); }
-  bool u16(uint16_t* v) { return read(v); }
-  bool u32(uint32_t* v) { return read(v); }
-
-  bool bytes(size_t n, std::span<const uint8_t>* out) {
-    if (n > data_.size() - pos_) return false;
-    *out = data_.subspan(pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return data_.size() - pos_; }
-  bool done() const { return pos_ == data_.size(); }
-
- private:
-  template <typename T>
-  bool read(T* v) {
-    if (sizeof(T) > data_.size() - pos_) return false;
-    std::memcpy(v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  std::span<const uint8_t> data_;
-  size_t pos_ = 0;
-};
-
-// Every body begins [version][type][stream].
+// Every body begins [version][type][stream]. Decoders read each field
+// straight into the message through the latching common/bytes.h reader and
+// test r.done() once, after their own range checks.
 void put_prefix(ByteWriter* w, MsgType type, uint8_t stream) {
   w->u8(kWireVersion);
   w->u8(uint8_t(type));
   w->u8(stream);
 }
 
-bool take_prefix(TryReader* r, MsgType want, uint8_t* stream) {
-  uint8_t version = 0, type = 0;
-  if (!r->u8(&version) || !r->u8(&type) || !r->u8(stream)) return false;
+// False on a version or type mismatch (a truncated prefix reads as zeros,
+// which match neither).
+bool take_prefix(ByteReader* r, MsgType want, uint8_t* stream) {
+  const uint8_t version = r->u8();
+  const uint8_t type = r->u8();
+  *stream = r->u8();
   return version == kWireVersion && type == uint8_t(want);
 }
 
-constexpr size_t kEntryBytes = kExchangeEntryWireBytes;
-static_assert(kEntryBytes == 392);
-
-// An exchange entry rides the 8-byte MEI instruction framing; the tainted
-// flag lives in the op byte's high bit so the entry cost stays exactly
-// kExchangeEntryWireBytes.
-void put_entry(ByteWriter* w, const ExchangeEntry& e) {
-  w->u8(uint8_t(uint8_t(core::MeiOp::kRecv) | (e.tainted ? 0x80 : 0)));
-  w->u8(e.instr.ref);
-  w->u16(e.instr.mb_x);
-  w->u16(e.instr.mb_y);
-  w->u16(e.instr.peer);
-  w->bytes(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(&e.px), sizeof(e.px)));
+// The 8-byte MEI instruction framing ([op][ref][mb_x][mb_y][peer]), shared
+// by the SP message's MEI list and the exchange entries. The op byte is the
+// caller's: an exchange entry carries its tainted flag in the high bit.
+void put_mei(ByteWriter* w, uint8_t op, const core::MeiInstruction& i) {
+  w->u8(op);
+  w->u8(i.ref);
+  w->u16(i.mb_x);
+  w->u16(i.mb_y);
+  w->u16(i.peer);
 }
 
-bool take_entry(TryReader* r, ExchangeEntry* e) {
-  uint8_t op = 0;
-  if (!r->u8(&op)) return false;
-  e->tainted = (op & 0x80) != 0;
-  if ((op & 0x7F) != uint8_t(core::MeiOp::kRecv)) return false;
-  e->instr.op = core::MeiOp::kRecv;
-  std::span<const uint8_t> px;
-  if (!r->u8(&e->instr.ref) || !r->u16(&e->instr.mb_x) ||
-      !r->u16(&e->instr.mb_y) || !r->u16(&e->instr.peer) ||
-      !r->bytes(sizeof(e->px), &px))
-    return false;
-  std::memcpy(&e->px, px.data(), sizeof(e->px));
-  return true;
+// Reads one instruction; returns its raw op byte for the caller to check.
+uint8_t take_mei(ByteReader* r, core::MeiInstruction* i) {
+  const uint8_t op = r->u8();
+  i->ref = r->u8();
+  i->mb_x = r->u16();
+  i->mb_y = r->u16();
+  i->peer = r->u16();
+  return op;
 }
+
+static_assert(kExchangeEntryWireBytes == 392);
 
 }  // namespace
 
@@ -187,15 +150,15 @@ namespace {
 
 bool decode_picture(std::span<const uint8_t> data, const mem::Bytes* parent,
                     PictureMsg* out) {
-  TryReader r(data);
-  uint32_t len = 0;
-  std::span<const uint8_t> coded;
-  if (!take_prefix(&r, MsgType::kPicture, &out->stream) ||
-      !r.u32(&out->pic_index) || !r.u16(&out->nsid) || !r.u32(&out->epoch) ||
-      !r.u32(&len) || len != r.remaining())
-    return false;
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kPicture, &out->stream)) return false;
+  out->pic_index = r.u32();
+  out->nsid = r.u16();
+  out->epoch = r.u32();
+  const uint32_t len = r.u32();
+  if (!r.ok() || len != r.remaining()) return false;
   const size_t off = r.pos();
-  if (!r.bytes(len, &coded)) return false;
+  const auto coded = r.bytes(len);
   out->coded = parent ? parent->view(off, len) : mem::Bytes::copy_of(coded);
   return r.done();
 }
@@ -216,13 +179,7 @@ namespace {
 
 void put_mei_list(ByteWriter* w, const std::vector<core::MeiInstruction>& mei) {
   w->u32(uint32_t(mei.size()));
-  for (const core::MeiInstruction& i : mei) {
-    w->u8(uint8_t(i.op));
-    w->u8(i.ref);
-    w->u16(i.mb_x);
-    w->u16(i.mb_y);
-    w->u16(i.peer);
-  }
+  for (const core::MeiInstruction& i : mei) put_mei(w, uint8_t(i.op), i);
 }
 
 void put_sp_header(ByteWriter* w, uint32_t pic_index, uint16_t tile,
@@ -275,26 +232,24 @@ namespace {
 
 bool decode_sp(std::span<const uint8_t> data, const mem::Bytes* parent,
                SpMsg* out) {
-  TryReader r(data);
-  uint32_t sp_len = 0, mei_count = 0;
-  std::span<const uint8_t> sp;
-  if (!take_prefix(&r, MsgType::kSubPicture, &out->stream) ||
-      !r.u32(&out->pic_index) || !r.u16(&out->tile) || !r.u32(&out->epoch) ||
-      !r.u32(&sp_len))
-    return false;
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kSubPicture, &out->stream)) return false;
+  out->pic_index = r.u32();
+  out->tile = r.u16();
+  out->epoch = r.u32();
+  const uint32_t sp_len = r.u32();
   const size_t off = r.pos();
-  if (!r.bytes(sp_len, &sp) || !r.u32(&mei_count) ||
-      size_t(mei_count) * core::kMeiWireBytes != r.remaining())
+  const auto sp = r.bytes(sp_len);
+  const uint32_t mei_count = r.u32();
+  if (!r.ok() || size_t(mei_count) * core::kMeiWireBytes != r.remaining())
     return false;
   out->subpicture =
       parent ? parent->view(off, sp_len) : mem::Bytes::copy_of(sp);
   out->mei.resize(mei_count);
   for (core::MeiInstruction& i : out->mei) {
-    uint8_t op = 0;
-    if (!r.u8(&op) || op > uint8_t(core::MeiOp::kConceal)) return false;
+    const uint8_t op = take_mei(&r, &i);
+    if (op > uint8_t(core::MeiOp::kConceal)) return false;
     i.op = core::MeiOp(op);
-    if (!r.u8(&i.ref) || !r.u16(&i.mb_x) || !r.u16(&i.mb_y) || !r.u16(&i.peer))
-      return false;
   }
   return r.done();
 }
@@ -347,9 +302,10 @@ Packed pack(const GoAheadAck& m) {
 }
 
 bool decode(std::span<const uint8_t> data, GoAheadAck* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kGoAheadAck, &out->stream) &&
-         r.u32(&out->pic_index) && r.done();
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kGoAheadAck, &out->stream)) return false;
+  out->pic_index = r.u32();
+  return r.done();
 }
 
 // --- ExchangeMsg -----------------------------------------------------------
@@ -366,22 +322,35 @@ Packed pack(const ExchangeMsg& m) {
   w.u16(m.src_tile);
   w.u16(m.dst_tile);
   w.u32(uint32_t(m.entries.size()));
-  for (const ExchangeEntry& e : m.entries) put_entry(&w, e);
+  for (const ExchangeEntry& e : m.entries) {
+    const uint8_t op = uint8_t(core::MeiOp::kRecv) | (e.tainted ? 0x80 : 0);
+    put_mei(&w, op, e.instr);
+    w.bytes(std::span<const uint8_t>(
+        reinterpret_cast<const uint8_t*>(&e.px), sizeof(e.px)));
+  }
   finish_body(p, w);
   return p;
 }
 
 bool decode(std::span<const uint8_t> data, ExchangeMsg* out) {
-  TryReader r(data);
-  uint32_t count = 0;
-  if (!take_prefix(&r, MsgType::kExchange, &out->stream) ||
-      !r.u32(&out->pic_index) || !r.u16(&out->src_tile) ||
-      !r.u16(&out->dst_tile) || !r.u32(&count) ||
-      size_t(count) * kEntryBytes != r.remaining())
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kExchange, &out->stream)) return false;
+  out->pic_index = r.u32();
+  out->src_tile = r.u16();
+  out->dst_tile = r.u16();
+  const uint32_t count = r.u32();
+  if (!r.ok() || size_t(count) * kExchangeEntryWireBytes != r.remaining())
     return false;
   out->entries.resize(count);
-  for (ExchangeEntry& e : out->entries)
-    if (!take_entry(&r, &e)) return false;
+  for (ExchangeEntry& e : out->entries) {
+    // The tainted flag rides the op byte's high bit, so an entry costs
+    // exactly kExchangeEntryWireBytes.
+    const uint8_t op = take_mei(&r, &e.instr);
+    e.tainted = (op & 0x80) != 0;
+    if ((op & 0x7F) != uint8_t(core::MeiOp::kRecv)) return false;
+    e.instr.op = core::MeiOp::kRecv;
+    std::memcpy(&e.px, r.bytes(sizeof(e.px)).data(), sizeof(e.px));
+  }
   return r.done();
 }
 
@@ -398,7 +367,7 @@ Packed pack(const EndOfStream& m) {
 }
 
 bool decode(std::span<const uint8_t> data, EndOfStream* out) {
-  TryReader r(data);
+  ByteReader r(data);
   return take_prefix(&r, MsgType::kEndOfStream, &out->stream) && r.done();
 }
 
@@ -417,9 +386,10 @@ Packed pack(const Heartbeat& m) {
 }
 
 bool decode(std::span<const uint8_t> data, Heartbeat* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kHeartbeat, &out->stream) &&
-         r.u16(&out->tile) && r.done();
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kHeartbeat, &out->stream)) return false;
+  out->tile = r.u16();
+  return r.done();
 }
 
 // --- Finished --------------------------------------------------------------
@@ -437,9 +407,10 @@ Packed pack(const Finished& m) {
 }
 
 bool decode(std::span<const uint8_t> data, Finished* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kFinished, &out->stream) &&
-         r.u16(&out->tile) && r.done();
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kFinished, &out->stream)) return false;
+  out->tile = r.u16();
+  return r.done();
 }
 
 // --- DeathNotice -----------------------------------------------------------
@@ -460,10 +431,12 @@ Packed pack(const DeathNotice& m) {
 }
 
 bool decode(std::span<const uint8_t> data, DeathNotice* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kDeathNotice, &out->stream) &&
-         r.u16(&out->dead_tile) && r.u16(&out->adopter_tile) &&
-         r.u32(&out->resync_pic) && r.done();
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kDeathNotice, &out->stream)) return false;
+  out->dead_tile = r.u16();
+  out->adopter_tile = r.u16();
+  out->resync_pic = r.u32();
+  return r.done();
 }
 
 // --- SkipBroadcast ---------------------------------------------------------
@@ -483,9 +456,11 @@ Packed pack(const SkipBroadcast& m) {
 }
 
 bool decode(std::span<const uint8_t> data, SkipBroadcast* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kSkipBroadcast, &out->stream) &&
-         r.u32(&out->pic_index) && r.u16(&out->tile) && r.done();
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kSkipBroadcast, &out->stream)) return false;
+  out->pic_index = r.u32();
+  out->tile = r.u16();
+  return r.done();
 }
 
 // --- StreamRequest ---------------------------------------------------------
@@ -506,13 +481,13 @@ Packed pack(const StreamRequest& m) {
 }
 
 bool decode(std::span<const uint8_t> data, StreamRequest* out) {
-  TryReader r(data);
-  uint8_t priority = 0;
-  if (!take_prefix(&r, MsgType::kStreamRequest, &out->stream) ||
-      !r.u16(&out->width_mb) || !r.u16(&out->height_mb) || !r.u16(&out->fps) ||
-      !r.u8(&priority) || !r.done())
-    return false;
-  if (priority > uint8_t(PriorityClass::kPremium)) return false;
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kStreamRequest, &out->stream)) return false;
+  out->width_mb = r.u16();
+  out->height_mb = r.u16();
+  out->fps = r.u16();
+  const uint8_t priority = r.u8();
+  if (!r.done() || priority > uint8_t(PriorityClass::kPremium)) return false;
   out->priority = PriorityClass(priority);
   return true;
 }
@@ -533,12 +508,11 @@ Packed pack(const StreamReply& m) {
 }
 
 bool decode(std::span<const uint8_t> data, StreamReply* out) {
-  TryReader r(data);
-  uint8_t verdict = 0, level = 0;
-  if (!take_prefix(&r, MsgType::kStreamReply, &out->stream) ||
-      !r.u8(&verdict) || !r.u8(&level) || !r.done())
-    return false;
-  if (verdict > uint8_t(AdmissionVerdict::kRenegotiate) ||
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kStreamReply, &out->stream)) return false;
+  const uint8_t verdict = r.u8();
+  const uint8_t level = r.u8();
+  if (!r.done() || verdict > uint8_t(AdmissionVerdict::kRenegotiate) ||
       level > uint8_t(DegradeLevel::kFreeze))
     return false;
   out->verdict = AdmissionVerdict(verdict);
@@ -568,18 +542,17 @@ Packed pack(const PartitionUpdateMsg& m) {
 }
 
 bool decode(std::span<const uint8_t> data, PartitionUpdateMsg* out) {
-  TryReader r(data);
-  uint16_t cols = 0, rows = 0;
-  if (!take_prefix(&r, MsgType::kPartitionUpdate, &out->stream) ||
-      !r.u32(&out->epoch) || !r.u32(&out->apply_from_pic) || !r.u16(&cols) ||
-      !r.u16(&rows) || (size_t(cols) + rows) * 2 != r.remaining())
-    return false;
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kPartitionUpdate, &out->stream)) return false;
+  out->epoch = r.u32();
+  out->apply_from_pic = r.u32();
+  const uint16_t cols = r.u16();
+  const uint16_t rows = r.u16();
+  if (!r.ok() || (size_t(cols) + rows) * 2 != r.remaining()) return false;
   out->col_cuts_mb.resize(cols);
   out->row_cuts_mb.resize(rows);
-  for (uint16_t& c : out->col_cuts_mb)
-    if (!r.u16(&c)) return false;
-  for (uint16_t& c : out->row_cuts_mb)
-    if (!r.u16(&c)) return false;
+  for (uint16_t& c : out->col_cuts_mb) c = r.u16();
+  for (uint16_t& c : out->row_cuts_mb) c = r.u16();
   // Cut lines must strictly increase from a nonzero start: reject malformed
   // partitions here so state machines never install an invalid geometry.
   const auto increasing = [](const std::vector<uint16_t>& v) {
@@ -611,18 +584,16 @@ Packed pack(const CostReportMsg& m) {
 }
 
 bool decode(std::span<const uint8_t> data, CostReportMsg* out) {
-  TryReader r(data);
-  uint16_t cols = 0, rows = 0;
-  if (!take_prefix(&r, MsgType::kCostReport, &out->stream) ||
-      !r.u32(&out->pic_index) || !r.u16(&cols) || !r.u16(&rows) ||
-      (size_t(cols) + rows) * 4 != r.remaining())
-    return false;
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kCostReport, &out->stream)) return false;
+  out->pic_index = r.u32();
+  const uint16_t cols = r.u16();
+  const uint16_t rows = r.u16();
+  if (!r.ok() || (size_t(cols) + rows) * 4 != r.remaining()) return false;
   out->col_cost.resize(cols);
   out->row_cost.resize(rows);
-  for (uint32_t& c : out->col_cost)
-    if (!r.u32(&c)) return false;
-  for (uint32_t& c : out->row_cost)
-    if (!r.u32(&c)) return false;
+  for (uint32_t& c : out->col_cost) c = r.u32();
+  for (uint32_t& c : out->row_cost) c = r.u32();
   return r.done();
 }
 
@@ -657,19 +628,14 @@ std::optional<AnyMsg> decode_any(const mem::Bytes& data) {
   if (data.size() < 2) return std::nullopt;
   // Only the two bulk types carry payloads worth viewing; everything else
   // takes the span path.
+  const auto viewed = [&](auto msg) -> std::optional<AnyMsg> {
+    if (!decode(data, &msg)) return std::nullopt;
+    return AnyMsg(std::move(msg));
+  };
   switch (MsgType(data[1])) {
-    case MsgType::kPicture: {
-      PictureMsg m;
-      if (!decode(data, &m)) return std::nullopt;
-      return AnyMsg(std::move(m));
-    }
-    case MsgType::kSubPicture: {
-      SpMsg m;
-      if (!decode(data, &m)) return std::nullopt;
-      return AnyMsg(std::move(m));
-    }
-    default:
-      return decode_any(data.span());
+    case MsgType::kPicture: return viewed(PictureMsg{});
+    case MsgType::kSubPicture: return viewed(SpMsg{});
+    default: return decode_any(data.span());
   }
 }
 

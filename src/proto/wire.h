@@ -87,7 +87,7 @@ struct SpMsg {
   // Partition epoch the sub-picture was cut against: the receiving decoder
   // resolves tile rects and MEI peers in *this* epoch's owner map.
   uint32_t epoch = 0;
-  mem::Bytes subpicture;  // core::SubPicture::serialize bytes (view on decode)
+  mem::Bytes subpicture;  // core::SubPicture wire bytes (view on decode)
   std::vector<core::MeiInstruction> mei;
 
   friend bool operator==(const SpMsg&, const SpMsg&) = default;
@@ -340,7 +340,8 @@ std::optional<AnyMsg> decode_any(const mem::Bytes& data);
 
 // Accounting constants shared with the lockstep trace / DES cost model: the
 // per-entry wire cost of a halo macroblock exchange (pixels + the 8-byte MEI
-// instruction framing, as serialized by core::serialize_mei).
+// instruction framing that put_mei writes for SP lists and exchange entries
+// alike).
 inline constexpr size_t kExchangeEntryWireBytes =
     sizeof(mpeg2::MacroblockPixels) + core::kMeiWireBytes;
 

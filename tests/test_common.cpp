@@ -44,7 +44,6 @@ TEST(Bytes, RoundtripAllTypes) {
   w.u64(0x0123456789ABCDEFull);
   w.i16(-12345);
   w.i32(-7654321);
-  w.f64(3.14159);
   const uint8_t blob[3] = {1, 2, 3};
   w.bytes(blob);
 
@@ -55,17 +54,40 @@ TEST(Bytes, RoundtripAllTypes) {
   EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
   EXPECT_EQ(r.i16(), -12345);
   EXPECT_EQ(r.i32(), -7654321);
-  EXPECT_DOUBLE_EQ(r.f64(), 3.14159);
   auto got = r.bytes(3);
   EXPECT_EQ(got[2], 3);
+  EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.done());
 }
 
-TEST(Bytes, ReaderOverrunThrows) {
-  std::vector<uint8_t> buf = {1, 2};
+TEST(Bytes, WriterIsLittleEndianInBothModes) {
+  const std::vector<uint8_t> want = {0x34, 0x12, 0xEF, 0xBE, 0xAD, 0xDE,
+                                     0xFE, 0xFF};
+  std::vector<uint8_t> grown;
+  uint8_t fixed[8] = {};
+  ByteWriter g(&grown), f(fixed, sizeof(fixed));
+  for (ByteWriter* w : {&g, &f}) {
+    w->u16(0x1234);
+    w->u32(0xDEADBEEF);
+    w->i16(-2);
+  }
+  EXPECT_EQ(grown, want);
+  EXPECT_EQ(std::vector<uint8_t>(fixed, fixed + 8), want);
+  EXPECT_THROW(f.u8(0), CheckError);  // the fixed buffer is full
+}
+
+TEST(Bytes, ReaderOverrunLatchesFailure) {
+  std::vector<uint8_t> buf = {1, 2, 3};
   ByteReader r(buf);
-  r.u16();
-  EXPECT_THROW(r.u8(), CheckError);
+  EXPECT_EQ(r.u16(), 0x0201);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.u16(), 0);  // one byte left: overrun
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(r.u8(), 0);  // latched: even a read that would have fit fails
+  EXPECT_TRUE(r.bytes(0).empty());
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.done());
 }
 
 TEST(RunningStat, WelfordMoments) {

@@ -10,6 +10,7 @@
 
 #include <map>
 
+#include "common/bytes.h"
 #include "core/lockstep.h"
 #include "core/mb_splitter.h"
 #include "core/pipeline.h"
@@ -388,9 +389,9 @@ TEST(ProtocolEquivalence, PooledMatchesUnpooledWireForWire) {
   const auto es = make_stream(w, h, SceneKind::kMovingObjects, 8);
   wall::TileGeometry geo(w, h, 2, 2, 0);
 
-  // Byte-for-byte: the same split sub-picture serialized through the legacy
-  // vector path and the pooled path, then packed through pack() and the
-  // direct-into-body pack_sp().
+  // Byte-for-byte: the same split sub-picture serialized through both
+  // ByteWriter modes (growable vector, exact-size pooled), then packed
+  // through pack() and the direct-into-body pack_sp().
   core::RootSplitter root(es);
   core::MacroblockSplitter splitter(geo);
   splitter.set_stream_info(root.stream_info());
@@ -400,7 +401,8 @@ TEST(ProtocolEquivalence, PooledMatchesUnpooledWireForWire) {
   for (int t = 0; t < geo.tiles(); ++t) {
     const core::SubPicture& sub = sr.subpictures[size_t(t)];
     std::vector<uint8_t> vec;
-    sub.serialize(&vec);
+    ByteWriter w(&vec);
+    sub.serialize_into(&w);
     const mem::Bytes pooled = sub.serialize_pooled();
     EXPECT_EQ(pooled, mem::Bytes::borrow(vec)) << "tile " << t;
 

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <map>
 
+#include "core/hosts.h"
 #include "core/pipeline.h"
 #include "core/socket_wall.h"
 #include "enc/encoder.h"
@@ -236,6 +237,26 @@ TEST(WallTeardown, LaunchersReturnPromptlyAfterTheLastDisplay) {
     std::sort(gaps.begin(), gaps.end());
     EXPECT_LT(gaps[gaps.size() / 2], 0.008) << (socket ? "socket" : "threaded");
   }
+}
+
+// The launcher shuts the fabric down once every decoder is done, without
+// waiting for splitters: a splitter still owed a picture or a lost ack must
+// then return from run() instead of spinning on the shut-down endpoint.
+TEST(WallTeardown, SplitterReturnsOnceTheFabricShutsDown) {
+  const proto::Topology topo{1, 2};
+  const wall::TileGeometry geo(64, 32, 2, 1, 0);
+  net::Fabric fabric(topo.nodes());
+  core::HostShared shared;
+  shared.ep_stats.resize(size_t(topo.nodes()));
+  obs::MetricsRegistry metrics;
+  core::StreamInfo info;
+  info.seq.width = geo.width();
+  info.seq.height = geo.height();
+  core::SplitterHost host(&fabric, &shared, topo, 0, net::ReliableConfig{},
+                          geo, info, &metrics);
+  fabric.shutdown();
+  host.run();  // no picture and no end of stream will ever arrive
+  EXPECT_EQ(shared.splitters_done.load(), 1);
 }
 
 }  // namespace

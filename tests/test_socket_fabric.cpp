@@ -19,7 +19,7 @@
 #include "net/reliable.h"
 #include "net/rendezvous.h"
 #include "net/socket_fabric.h"
-#include "net/udp.h"
+#include "common/udp.h"
 
 namespace pdw::net {
 namespace {

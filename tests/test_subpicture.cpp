@@ -1,7 +1,7 @@
-// Sub-picture / SPH / MEI wire-format tests.
+// Sub-picture / SPH wire-format tests.
 #include <gtest/gtest.h>
 
-#include "core/mei.h"
+#include "common/check.h"
 #include "core/subpicture.h"
 
 namespace pdw::core {
@@ -29,6 +29,11 @@ SpRun sample_run(int seed) {
   return run;
 }
 
+std::vector<uint8_t> wire_of(const SubPicture& sp) {
+  const mem::Bytes b = sp.serialize_pooled();
+  return {b.begin(), b.end()};
+}
+
 TEST(SubPicture, SerializeDeserializeRoundtrip) {
   SubPicture sp;
   sp.info.pic_index = 42;
@@ -42,11 +47,10 @@ TEST(SubPicture, SerializeDeserializeRoundtrip) {
   sp.runs.push_back(sample_run(0));
   sp.runs.push_back(sample_run(5));
 
-  std::vector<uint8_t> wire;
-  sp.serialize(&wire);
+  const mem::Bytes wire = sp.serialize_pooled();
   EXPECT_EQ(wire.size(), sp.wire_bytes());
 
-  const SubPicture back = SubPicture::deserialize(wire);
+  const SubPicture back = SubPicture::deserialize(wire.span());
   EXPECT_EQ(back.info.pic_index, 42u);
   EXPECT_EQ(back.info.type, mpeg2::PicType::B);
   EXPECT_EQ(back.info.f_code[0][0], 3);
@@ -67,10 +71,39 @@ TEST(SubPicture, SerializeDeserializeRoundtrip) {
 TEST(SubPicture, EmptySubpictureRoundtrips) {
   SubPicture sp;
   sp.info.pic_index = 1;
-  std::vector<uint8_t> wire;
-  sp.serialize(&wire);
-  const SubPicture back = SubPicture::deserialize(wire);
+  const SubPicture back = SubPicture::deserialize(sp.serialize_pooled());
   EXPECT_TRUE(back.runs.empty());
+}
+
+// The run count is read off the network: a count the body cannot hold must
+// be rejected before anything is allocated for it.
+TEST(SubPicture, RunCountBeyondBodyIsRejected) {
+  SubPicture sp;
+  std::vector<uint8_t> wire = wire_of(sp);
+  ASSERT_EQ(wire.size(), 18u);  // PicInfo (14) + run count (4)
+  for (size_t i = 14; i < 18; ++i) wire[i] = 0xFF;
+  EXPECT_THROW(SubPicture::deserialize(wire), CheckError);
+
+  // One whole run whose count claims a second: the second run's header
+  // would read past the end.
+  sp.runs.push_back(sample_run(0));
+  wire = wire_of(sp);
+  wire[14] = 2;
+  EXPECT_THROW(SubPicture::deserialize(wire), CheckError);
+}
+
+TEST(SubPicture, TruncatedOrTrailingBytesAreRejected) {
+  SubPicture sp;
+  sp.runs.push_back(sample_run(1));
+  const std::vector<uint8_t> wire = wire_of(sp);
+  for (size_t cut : {size_t(3), size_t(17), size_t(40), wire.size() - 1})
+    EXPECT_THROW(
+        SubPicture::deserialize(std::span<const uint8_t>(wire).first(cut)),
+        CheckError)
+        << cut;
+  std::vector<uint8_t> longer = wire;
+  longer.push_back(0);
+  EXPECT_THROW(SubPicture::deserialize(longer), CheckError);
 }
 
 TEST(SubPicture, PayloadBytesExcludesHeaders) {
@@ -97,43 +130,6 @@ TEST(PicInfo, PceRoundtrip) {
   EXPECT_EQ(back.intra_dc_precision, 1);
   EXPECT_TRUE(back.q_scale_type);
   EXPECT_TRUE(back.alternate_scan);
-}
-
-TEST(StreamInfo, Roundtrip) {
-  StreamInfo si;
-  si.seq.width = 3840;
-  si.seq.height = 2912;
-  si.seq.frame_rate_code = 5;
-  for (int i = 0; i < 64; ++i) {
-    si.seq.intra_quant[size_t(i)] = uint8_t(i + 1);
-    si.seq.non_intra_quant[size_t(i)] = uint8_t(64 - i);
-  }
-  std::vector<uint8_t> wire;
-  si.serialize(&wire);
-  const StreamInfo back = StreamInfo::deserialize(wire);
-  EXPECT_EQ(back.seq.width, 3840);
-  EXPECT_EQ(back.seq.height, 2912);
-  EXPECT_EQ(back.seq.intra_quant, si.seq.intra_quant);
-  EXPECT_EQ(back.seq.non_intra_quant, si.seq.non_intra_quant);
-}
-
-TEST(Mei, SerializeDeserializeRoundtrip) {
-  std::vector<MeiInstruction> list = {
-      {MeiOp::kSend, 0, 10, 20, 3},
-      {MeiOp::kRecv, 1, 200, 180, 15},
-      {MeiOp::kSend, 1, 0, 0, 0},
-  };
-  std::vector<uint8_t> wire;
-  serialize_mei(list, &wire);
-  EXPECT_EQ(wire.size(), 4 + list.size() * kMeiWireBytes);
-  const auto back = deserialize_mei(wire);
-  EXPECT_EQ(back, list);
-}
-
-TEST(Mei, EmptyListRoundtrips) {
-  std::vector<uint8_t> wire;
-  serialize_mei({}, &wire);
-  EXPECT_TRUE(deserialize_mei(wire).empty());
 }
 
 }  // namespace

@@ -35,7 +35,6 @@ namespace {
 
 using obs::ClockEstimator;
 using obs::Collector;
-using obs::TelemetryEndpoint;
 using obs::TelemetryExporter;
 using obs::TelemetryExporterConfig;
 using obs::TelemetryFrame;
@@ -141,7 +140,7 @@ TelemetryFrame full_frame() {
   obs::ClockProbeRecord p;
   p.seq = 9;
   p.t0 = 5555;
-  p.reply_to = {obs::kTelemetryLoopbackIp, 47999};
+  p.reply_to = {net::kLoopbackIp, 47999};
   f.probes = {p};
   obs::ClockReplyRecord r;
   r.seq = 9;
@@ -207,6 +206,25 @@ TEST(TelemetryCodec, EveryTruncationRejectedWithoutCrashing) {
   }
 }
 
+// The frame header and record framing are little-endian: "PDWT" magic,
+// version 1, flags, token, seq, record count, then [type][u16 length] per
+// record.
+TEST(TelemetryCodec, HeaderIsLittleEndian) {
+  TelemetryFrame f;
+  f.token = 0x0102030405060708ull;
+  f.seq = 0x0A0B0C0D;
+  f.bye = true;
+  const std::vector<uint8_t> want = {
+      0x50, 0x44, 0x57, 0x54,                          // magic "PDWT"
+      0x01, 0x00,                                      // version 1
+      0x00, 0x00,                                      // flags
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // token
+      0x0D, 0x0C, 0x0B, 0x0A,                          // seq
+      0x01, 0x00,                                      // one record
+      0x08, 0x00, 0x00};                               // Bye, length 0
+  EXPECT_EQ(obs::encode_frame(f), want);
+}
+
 TEST(TelemetryCodec, CorruptMagicRejected) {
   std::vector<uint8_t> wire = obs::encode_frame(full_frame());
   wire[0] ^= 0xFF;
@@ -237,6 +255,21 @@ int64_t truth_offset_ns(const Collector& c, const TelemetryExporter& e,
   const uint64_t b = e.local_now_ns();
   *slack_ns = b - a;
   return int64_t(mid) - int64_t((a + b) / 2);
+}
+
+// Telemetry is best effort: a collector whose port is taken reports !ok()
+// and its loop and drain are no-ops instead of throwing.
+TEST(TelemetrySideband, CollectorOnTakenPortDegradesToNoOp) {
+  Collector first;
+  ASSERT_TRUE(first.ok());
+  obs::CollectorConfig cfg;
+  cfg.port = first.endpoint().port;
+  Collector second(cfg);
+  EXPECT_FALSE(second.ok());
+  second.start();
+  second.poll();
+  second.stop();
+  EXPECT_EQ(second.datagrams_received(), 0u);
 }
 
 TEST(TelemetrySideband, SkewedProcessMergesIntoCollectorDomain) {
@@ -320,7 +353,7 @@ TEST(TelemetrySideband, OffsetWithinTwoMinRttUnderAsymmetricDelay) {
   obs::MetricsRegistry reg;
 
   TelemetryExporterConfig cfg;
-  cfg.collector = {obs::kTelemetryLoopbackIp, front.port};
+  cfg.collector = {net::kLoopbackIp, front.port};
   cfg.probe_wait_s = 0.05;
   cfg.metrics = &reg;
   cfg.tracer = &tracer;

@@ -343,6 +343,39 @@ TEST(WireReject, ExchangeCountOverflow) {
   }
 }
 
+// The byte order the layout comments promise is what pack() writes:
+// little-endian fields after the [version][type][stream] prefix.
+TEST(WireBytes, DeathNoticeIsLittleEndian) {
+  DeathNotice dn;
+  dn.dead_tile = 0x0102;
+  dn.adopter_tile = 0x0304;
+  dn.resync_pic = 0x05060708;
+  dn.stream = 9;
+  const Packed p = pack(dn);
+  const std::vector<uint8_t> want = {kWireVersion, 8,    9,    0x02,
+                                     0x01,         0x04, 0x03, 0x08,
+                                     0x07,         0x06, 0x05};
+  EXPECT_EQ(std::vector<uint8_t>(p.body.begin(), p.body.end()), want);
+}
+
+// An exchange entry's MEI framing: [op | tainted << 7][ref][mb_x][mb_y][peer]
+// ahead of the 384 pixel bytes.
+TEST(WireBytes, ExchangeEntryFramingIsLittleEndian) {
+  ExchangeMsg m = sample_exchange();
+  m.entries.resize(1);
+  m.entries[0].instr.ref = 1;
+  m.entries[0].instr.mb_x = 0x0A0B;
+  m.entries[0].instr.mb_y = 0x0C0D;
+  m.entries[0].instr.peer = 0x0E0F;
+  const Packed p = pack(m);
+  const size_t at = 3 + 4 + 2 + 2 + 4;  // prefix, pic, src, dst, count
+  const std::vector<uint8_t> want = {0x81, 0x01, 0x0B, 0x0A,
+                                     0x0D, 0x0C, 0x0F, 0x0E};
+  EXPECT_EQ(std::vector<uint8_t>(p.body.begin() + at, p.body.begin() + at + 8),
+            want);
+  EXPECT_EQ(p.body[at - 4], 1);  // entry count 1, low byte first
+}
+
 TEST(WireSizes, AccountingHelpersMatchPackedBodies) {
   EXPECT_EQ(kExchangeEntryWireBytes,
             sizeof(mpeg2::MacroblockPixels) + core::kMeiWireBytes);
