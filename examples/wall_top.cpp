@@ -9,12 +9,6 @@
 // the registry is safe to snapshot mid-run, so the dashboard needs no
 // cooperation from the pipeline. The full metrics report prints at the end.
 //
-// With --tenants the dashboard instead hosts an admission-gated multi-stream
-// session sized to overload the wall (capacity for ~half the attached
-// tenants), and the table becomes per-tenant QoS state straight from the
-// registry: priority class, admitted/released state, the ladder's current
-// degrade level, pictures shed, and the deadline-miss rate.
-//
 // With --remote the dashboard hosts the cluster telemetry Collector
 // (obs/collector.h) instead of running anything itself: every wall_node
 // process started with --telemetry-port streams its metric deltas, spans and
@@ -29,7 +23,6 @@
 //
 // Usage:
 //   wall_top [m] [n] [k] [frames] [refresh_ms]
-//   wall_top --tenants [count] [refresh_ms]
 //   wall_top --remote PORT [--expect N] [--duration S] [--trace FILE]
 //            [--refresh MS]
 //   wall_top --partitions [frames] [refresh_ms]
@@ -49,7 +42,6 @@
 #include "obs/collector.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "proto/session.h"
 #include "video/catalog.h"
 #include "video/generator.h"
 
@@ -154,123 +146,6 @@ void draw(const obs::MetricsSnapshot& snap, int k, int tiles, bool ansi,
   std::printf("\n");
   pools.print(stdout);
   std::fflush(stdout);
-}
-
-const char* kClassNames[3] = {"background", "standard", "premium"};
-const char* kLevelNames[4] = {"none", "skip-B", "skip-P", "freeze"};
-
-void draw_tenants(const obs::MetricsSnapshot& snap, bool ansi,
-                  double elapsed_s) {
-  if (ansi) std::printf("\x1b[H\x1b[J");
-  std::printf(
-      "pdw wall_top — multi-tenant — %.1fs — admission: %llu accepted, "
-      "%llu renegotiated, %llu rejected\n\n",
-      elapsed_s,
-      (unsigned long long)snap.counter_total(obs::family::kAdmissionAccepted),
-      (unsigned long long)
-          snap.counter_total(obs::family::kAdmissionRenegotiated),
-      (unsigned long long)snap.counter_total(obs::family::kAdmissionRejected));
-
-  TextTable table(
-      {"tenant", "class", "state", "degrade", "shed pics", "miss %"});
-  // One kTenantPriorityClass gauge exists per tenant the controller has
-  // ever seen; everything else keys off its labels.
-  for (const obs::MetricValue& v : snap.values) {
-    if (v.kind != obs::MetricKind::kGauge ||
-        v.family != obs::family::kTenantPriorityClass)
-      continue;
-    const obs::Labels& labels = v.labels;
-    const int cls = int(v.gauge);
-    const bool admitted =
-        gauge_value(snap, obs::family::kTenantAdmitted, labels) != 0;
-    const int level =
-        int(gauge_value(snap, obs::family::kTenantDegradeLevel, labels));
-    const uint64_t shed =
-        snap.counter_value(obs::family::kTenantPicturesShed, labels);
-    const uint64_t checks =
-        snap.counter_value(obs::family::kTenantDeadlineChecks, labels);
-    const uint64_t misses =
-        snap.counter_value(obs::family::kTenantDeadlineMisses, labels);
-    table.add_row(
-        {format("%d", labels.stream),
-         cls >= 0 && cls < 3 ? kClassNames[cls] : "?",
-         admitted ? (level > 0 ? "degraded" : "admitted") : "released",
-         level >= 0 && level < 4 ? kLevelNames[level] : "?",
-         format("%llu", (unsigned long long)shed),
-         checks ? format("%.2f", 100.0 * double(misses) / double(checks))
-                : std::string("-")});
-  }
-  table.print(stdout);
-  std::fflush(stdout);
-}
-
-int run_tenant_mode(int tenants, int refresh_ms) {
-  const int width = 320, height = 240, frames = 48;
-  enc::EncoderConfig cfg;
-  cfg.width = width;
-  cfg.height = height;
-  cfg.target_bpp = 0.35;
-
-  std::vector<std::vector<uint8_t>> streams;
-  for (int i = 0; i < tenants; ++i) {
-    const auto scene = video::make_scene(video::SceneKind::kMovingObjects,
-                                         width, height, 100u + unsigned(i));
-    enc::Mpeg2Encoder encoder(cfg);
-    streams.push_back(encoder.encode(
-        frames, [&](int f, mpeg2::Frame* fr) { scene->render(f, fr); }));
-  }
-
-  proto::TenantSpec spec;
-  spec.width_mb = uint16_t((width + 15) / 16);
-  spec.height_mb = uint16_t((height + 15) / 16);
-  spec.fps = 24;
-
-  wall::TileGeometry geo(width, height, 2, 2, /*overlap=*/40);
-  proto::StreamSession session(geo, /*k=*/2);
-  proto::AdmissionController::Config acfg;
-  // Room for roughly half the tenants at full rate: the ladder must engage.
-  acfg.capacity.mb_per_s = 0.5 * tenants * proto::tenant_cost(spec);
-  session.enable_admission(acfg);
-  session.admission()->set_metrics(&obs::MetricsRegistry::global());
-
-  for (int i = 0; i < tenants; ++i) {
-    // Tenant 0 is premium, 1 standard, the rest background — so the shed
-    // order on screen demonstrates the strict priority ladder.
-    spec.priority = i == 0   ? proto::PriorityClass::kPremium
-                    : i == 1 ? proto::PriorityClass::kStandard
-                             : proto::PriorityClass::kBackground;
-    const proto::StreamReply reply =
-        session.attach_stream(i, streams[size_t(i)], spec);
-    std::printf("tenant %d (%s): verdict %d, level %s\n", i,
-                kClassNames[int(spec.priority)], int(reply.verdict),
-                kLevelNames[int(reply.level)]);
-  }
-
-  std::atomic<bool> done{false};
-  proto::StreamSession::Result result;
-  std::thread runner([&] {
-    result = session.run(nullptr);
-    done.store(true);
-  });
-
-  const bool ansi = isatty(fileno(stdout)) != 0;
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  double elapsed = 0;
-  while (!done.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(refresh_ms));
-    elapsed += double(refresh_ms) / 1e3;
-    draw_tenants(reg.snapshot(), ansi, elapsed);
-  }
-  runner.join();
-
-  draw_tenants(reg.snapshot(), ansi, elapsed);
-  std::printf(
-      "\nrun finished: %d streams, %llu pictures (%llu shed), %.2f s, "
-      "%.1f aggregate fps\n",
-      result.streams, (unsigned long long)result.pictures,
-      (unsigned long long)result.shed, result.wall_seconds,
-      result.aggregate_fps);
-  return 0;
 }
 
 // --remote: host the telemetry collector; the wall runs elsewhere (other
@@ -456,10 +331,9 @@ int main(int argc, char** argv) {
     const int refresh_ms = argc > 3 ? std::atoi(argv[3]) : 200;
     return run_partition_mode(frames, refresh_ms);
   }
-  if (argc > 1 && std::strcmp(argv[1], "--tenants") == 0) {
-    const int tenants = argc > 2 ? std::atoi(argv[2]) : 4;
-    const int refresh_ms = argc > 3 ? std::atoi(argv[3]) : 200;
-    return run_tenant_mode(tenants, refresh_ms);
+  if (argc > 1 && argv[1][0] == '-') {
+    std::fprintf(stderr, "wall_top: unknown option %s\n", argv[1]);
+    return 2;
   }
   const int m = argc > 1 ? std::atoi(argv[1]) : 2;
   const int n = argc > 2 ? std::atoi(argv[2]) : 2;

@@ -1,9 +1,9 @@
 // Emit the seed corpora of the two byte-codec fuzz targets: one packed wire
-// body per protocol message type (types 1-13) into <corpus-root>/wire for
-// fuzz/fuzz_wire.cpp, and a few encoded telemetry frames into
-// <corpus-root>/telemetry for fuzz/fuzz_telemetry.cpp. Valid inputs (plus
-// the corpus script's bit-flip variants of them) reach every field parser,
-// which random bytes rarely do.
+// body per protocol message type (types 1-9, 12 and 13) into
+// <corpus-root>/wire for fuzz/fuzz_wire.cpp, and a few encoded telemetry
+// frames into <corpus-root>/telemetry for fuzz/fuzz_telemetry.cpp. Valid
+// inputs (plus the corpus script's bit-flip variants of them) reach every
+// field parser, which random bytes rarely do.
 //
 // Usage: wire_seed_tool <corpus-root>
 #include <cstdio>
@@ -104,13 +104,6 @@ int main(int argc, char** argv) {
 
   write_seed(dir, "skip", proto::pack(proto::SkipBroadcast{4, 1, 0}));
 
-  write_seed(dir, "stream_request",
-             proto::pack(proto::StreamRequest{
-                 120, 68, 30, proto::PriorityClass::kPremium, 0}));
-  write_seed(dir, "stream_reply",
-             proto::pack(proto::StreamReply{
-                 proto::AdmissionVerdict::kRenegotiate,
-                 proto::DegradeLevel::kSkipB, 0}));
   write_seed(dir, "partition_update",
              proto::pack(proto::PartitionUpdateMsg{2, 24, 0, {40, 80}, {34}}));
   write_seed(dir, "cost_report",

@@ -122,20 +122,6 @@ for m in bad:
 if bad:
     sys.exit(1)
 print(f'alloc gate OK: {len(gate)} configs at 0 hot-path mallocs/picture')
-
-# Chaos gate: every seeded chaos schedule must have held the full invariant
-# suite (the binary also exits nonzero on failure; this catches a stale or
-# truncated results file).
-total = [m for m in metrics if m['name'] == 'chaos_schedules_total']
-ok = [m for m in metrics if m['name'] == 'chaos_schedules_ok']
-if not total or not ok:
-    sys.exit('chaos gate: schedule metrics missing '
-             '(bench_chaos_soak absent from the run?)')
-if total[0]['value'] != ok[0]['value']:
-    sys.exit(f"chaos gate FAILED: {ok[0]['value']:.0f}/"
-             f"{total[0]['value']:.0f} schedules held their invariants")
-print(f"chaos gate OK: {ok[0]['value']:.0f}/{total[0]['value']:.0f} "
-      'schedules held every invariant')
 PY
 
 echo "done: results in $results"

@@ -79,10 +79,6 @@ std::vector<PictureSpan> scan_pictures(std::span<const uint8_t> data) {
         cur.begin = have_pending ? pending_begin : hit.offset;
         cur.has_sequence_header = pending_seq;
         cur.has_gop_header = pending_gop;
-        // picture_coding_type: 10 bits of temporal_reference, then 3 bits of
-        // type — bits 5..3 of the picture header's second byte.
-        if (hit.offset + 5 < data.size())
-          cur.coding_type = uint8_t((data[hit.offset + 5] >> 3) & 0x7);
         have_pending = pending_seq = pending_gop = false;
         have_open = true;
         break;

@@ -54,11 +54,6 @@ struct PictureSpan {
   size_t end = 0;    // one past the picture's last byte
   bool has_sequence_header = false;
   bool has_gop_header = false;
-  // picture_coding_type peeked from the picture header (1 = I, 2 = P,
-  // 3 = B; 0 when the header is truncated). The scan reads it anyway, and
-  // the admission/shed layer needs the type *before* anything is split —
-  // shedding a B picture must cost no parse work.
-  uint8_t coding_type = 0;
 };
 
 // Split an elementary stream into picture spans (the root splitter's scan).

@@ -129,7 +129,7 @@ RootHost::RootHost(net::FabricBackend* f, HostShared* sh, const WallTimer* t,
       ep(f, tp.root(), with_metrics(rc, metrics)),
       node(tp, ro, std::move(metas), t->seconds()) {
   node.set_metrics(metrics);
-  inst.resolve(obs::registry_or_global(metrics), tp.root(), 0);
+  inst.resolve(obs::registry_or_global(metrics), tp.root());
 }
 
 void RootHost::apply(proto::RootNode::Step step) {
@@ -219,7 +219,7 @@ SplitterHost::SplitterHost(net::FabricBackend* f, HostShared* sh,
   splitter.set_stream_info(info);
   node.set_metrics(metrics);
   obs::MetricsRegistry& r = obs::registry_or_global(metrics);
-  inst.resolve(r, self(), 0);
+  inst.resolve(r, self());
   queue_depth = &r.gauge(obs::family::kQueueDepth, obs::Labels{self(), 0});
 }
 
@@ -346,7 +346,7 @@ DecoderHost::DecoderHost(net::FabricBackend* f, HostShared* sh,
       table(g) {
   node.set_metrics(metrics);
   obs::MetricsRegistry& r = obs::registry_or_global(metrics);
-  inst.resolve(r, self(), 0);
+  inst.resolve(r, self());
   queue_depth = &r.gauge(obs::family::kQueueDepth, obs::Labels{self(), 0});
 }
 

@@ -12,14 +12,14 @@ LockstepPipeline::LockstepPipeline(const wall::TileGeometry& geo, int k,
                                    proto::RootNode::AdaptivePartition adaptive)
     : geo_(geo), k_(k), es_(es), metrics_(metrics), adaptive_(adaptive) {
   PDW_CHECK_GE(k, 1);
-  stream_ = std::make_unique<proto::SerialStream>(geo_, k_, es_, 0, metrics_,
+  stream_ = std::make_unique<proto::SerialStream>(geo_, k_, es_, metrics_,
                                                   adaptive_);
 }
 
 LockstepPipeline::~LockstepPipeline() = default;
 
 void LockstepPipeline::reset() {
-  stream_ = std::make_unique<proto::SerialStream>(geo_, k_, es_, 0, metrics_,
+  stream_ = std::make_unique<proto::SerialStream>(geo_, k_, es_, metrics_,
                                                   adaptive_);
   ran_ = false;
 }

@@ -35,15 +35,6 @@ class RootSplitter {
   }
   const PictureSpan& span(int i) const { return spans_[size_t(i)]; }
 
-  // Coding type peeked by the start-code scan — available *before* any
-  // splitting, which is what lets the shed ladder drop a picture for free.
-  // Truncated or out-of-range headers report I, the conservative choice:
-  // a picture the shed layer cannot classify is never shed.
-  mpeg2::PicType picture_type(int i) const {
-    const uint8_t t = spans_[size_t(i)].coding_type;
-    return t >= 1 && t <= 3 ? mpeg2::PicType(t) : mpeg2::PicType::I;
-  }
-
   // Wall-clock cost of the start-code scan, amortized per picture — the
   // root's only compute besides the output-buffer copy. Used by the cluster
   // simulator's cost model.

@@ -98,22 +98,13 @@ struct StatsCore {
     s.budget_fallbacks = budget_fallbacks.load(std::memory_order_relaxed);
     return s;
   }
-
-  PoolPressure pressure(size_t budget) const {
-    PoolPressure p;
-    if (budget)
-      p.fullness = double(pooled_bytes.load(std::memory_order_relaxed)) /
-                   double(budget);
-    p.budget_fallbacks = budget_fallbacks.load(std::memory_order_relaxed);
-    return p;
-  }
 };
 
 // Heap-fallback allocation: a block no pool will ever recycle. It still
 // carries the core pointer, because the miss was counted into
 // bytes_in_flight and the release must unwind it — a core-less block would
-// leak in-flight accounting forever (the chaos harness' drain invariant
-// caught exactly that).
+// leak in-flight accounting forever (the budget-edge drain check in
+// tests/test_mem.cpp holds it to that).
 Bytes heap_bytes(size_t n, PoolCore* core, StatsCore& stats) {
   BlockHeader* b = detail::new_heap_block(n);
   b->core = core;
@@ -226,7 +217,6 @@ class BufferPool::Core : public PoolCore {
   }
 
   PoolStats stats() const { return stats_.snapshot(); }
-  PoolPressure pressure() const { return stats_.pressure(max_pool_bytes_); }
 
  private:
   struct Shard {
@@ -277,7 +267,6 @@ void BufferPool::prewarm(size_t max_bytes, int count) {
 
 PoolStats BufferPool::stats() const { return core_->stats(); }
 
-PoolPressure BufferPool::pressure() const { return core_->pressure(); }
 
 int BufferPool::class_for(size_t n) {
   if (n > kMaxClassBytes) return -1;
@@ -372,7 +361,6 @@ class SurfacePool::Core : public PoolCore {
   }
 
   PoolStats stats() const { return stats_.snapshot(); }
-  PoolPressure pressure() const { return stats_.pressure(max_pool_bytes_); }
 
  private:
   static constexpr uint32_t kSurfaceClass = 0xFFFFFFFEu;
@@ -398,7 +386,6 @@ Bytes SurfacePool::alloc(size_t n) {
 
 PoolStats SurfacePool::stats() const { return core_->stats(); }
 
-PoolPressure SurfacePool::pressure() const { return core_->pressure(); }
 
 SurfacePool& SurfacePool::global() {
   static SurfacePool pool(size_t(512) << 20,

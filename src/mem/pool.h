@@ -50,20 +50,12 @@ struct PoolStats {
   int64_t bytes_in_flight = 0;  // capacity currently handed out
   uint64_t pooled_bytes = 0;    // capacity minted under the pool budget
   // Allocations that degraded to a plain heap block *because the byte
-  // budget was spent* (a subset of misses). Before ISSUE 7 these were
-  // indistinguishable from ordinary cold-start misses, which is why budget
-  // exhaustion was silent; the admission/shed layer now consumes them as a
-  // backpressure signal.
+  // budget was spent* (a subset of misses, told apart from cold-start
+  // misses). `pooled_bytes` at the budget alone is not overload — a pool
+  // can run fully minted and healthy, every block recycling through the
+  // freelists. It is this count growing that means current demand exceeds
+  // what the budget can cover.
   uint64_t budget_fallbacks = 0;
-};
-
-// Budget-pressure signal for the admission/shed layer. `fullness` alone is
-// not overload — a pool can run at 100% minted and healthy, every block
-// recycling through the freelists. It is `budget_fallbacks` growing that
-// means current demand exceeds what the budget can cover.
-struct PoolPressure {
-  double fullness = 0;            // minted pooled bytes / budget
-  uint64_t budget_fallbacks = 0;  // heap allocs forced by budget exhaustion
 };
 
 // Names of the obs counter/gauge families a pool mirrors into. Null family
@@ -105,7 +97,6 @@ class BufferPool {
   void prewarm(size_t max_bytes, int count);
 
   PoolStats stats() const;
-  PoolPressure pressure() const;
 
   // Size class for a request, or -1 when it exceeds kMaxClassBytes (such
   // requests go straight to the heap and count as misses).
@@ -134,7 +125,6 @@ class SurfacePool {
   Bytes alloc(size_t n);
 
   PoolStats stats() const;
-  PoolPressure pressure() const;
 
   // Process-wide pool all plane storage comes from (obs-mirrored).
   static SurfacePool& global();

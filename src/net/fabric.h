@@ -30,7 +30,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -45,7 +44,7 @@ struct Message {
   int type = 0;        // application-defined tag (< 0 reserved for transport)
   uint32_t seq = 0;    // picture index / sequence number
   uint16_t aux = 0;    // ANID / NSID / tile field
-  uint8_t stream = 0;  // wire-level stream tag (multi-stream sessions)
+  uint8_t stream = 0;  // wire-level stream tag: reserved, always 0
   bool bulk = false;   // true: consumes a posted receive buffer
   uint32_t tseq = 0;   // transport sequence number (stamped by ReliableEndpoint)
   uint32_t crc = 0;    // payload CRC-32 (stamped by ReliableEndpoint)
@@ -228,12 +227,9 @@ class Fabric final : public FabricBackend {
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   TrafficMatrix traffic_;
-  // Per-(link, stream) send counters: fault schedules key on the n-th
-  // message *of a stream* on a link, so one stream's fate is independent of
-  // how other streams' traffic interleaves with it (reproducible chaos
-  // schedules under multi-stream sessions). Key = (src * nodes + dst) << 8
-  // | stream; stream-0-only runs behave exactly as the old per-link counter.
-  std::unordered_map<uint64_t, uint64_t> link_ordinal_;
+  // Per-link send counters (index src * nodes + dst): fault schedules key
+  // on the n-th message sent on a link.
+  std::vector<uint64_t> link_ordinal_;
   mutable std::mutex traffic_mu_;
   std::atomic<bool> shutdown_{false};
   const FaultInjector* injector_ = nullptr;

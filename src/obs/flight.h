@@ -5,9 +5,8 @@
 // tracer clock) in a small ring; on a trigger it writes one JSON file with
 // the tail of the span tracer, the wire ring and a full metrics snapshot.
 // Triggers: a DeathNotice arriving or being declared (src/core/hosts.cpp),
-// a degrade-ladder transition (src/proto/admission.cpp), a fatal signal
-// (install_signal_handlers), or an explicit dump(). Disabled it costs one
-// relaxed atomic load per hook.
+// a fatal signal (install_signal_handlers), or an explicit dump(). Disabled
+// it costs one relaxed atomic load per hook.
 #pragma once
 
 #include <atomic>

@@ -14,9 +14,9 @@ namespace pdw::obs {
 struct RootInstruments {
   Histogram* go_ahead_wait_ns = nullptr;
 
-  void resolve(MetricsRegistry& r, int node, int stream) {
+  void resolve(MetricsRegistry& r, int node) {
     go_ahead_wait_ns =
-        &r.histogram(family::kGoAheadWaitNs, Labels{node, stream});
+        &r.histogram(family::kGoAheadWaitNs, Labels{node, 0});
   }
 };
 
@@ -25,8 +25,8 @@ struct SplitterInstruments {
   Counter* sp_bytes_sent = nullptr;
   Histogram* split_ns = nullptr;
 
-  void resolve(MetricsRegistry& r, int node, int stream) {
-    const Labels l{node, stream};
+  void resolve(MetricsRegistry& r, int node) {
+    const Labels l{node, 0};
     pictures_split = &r.counter(family::kPicturesSplit, l);
     sp_bytes_sent = &r.counter(family::kSpBytesSent, l);
     split_ns = &r.histogram(family::kSplitNs, l);
@@ -42,8 +42,8 @@ struct DecoderInstruments {
   Histogram* decode_ns = nullptr;
   Histogram* serve_ns = nullptr;
 
-  void resolve(MetricsRegistry& r, int node, int stream) {
-    const Labels l{node, stream};
+  void resolve(MetricsRegistry& r, int node) {
+    const Labels l{node, 0};
     pictures_decoded = &r.counter(family::kPicturesDecoded, l);
     pictures_skipped = &r.counter(family::kPicturesSkipped, l);
     exchange_bytes_sent = &r.counter(family::kExchangeBytesSent, l);

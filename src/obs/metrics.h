@@ -8,8 +8,8 @@
 // nor can be inspected on a live run. Here instead:
 //
 //   * a metric is a (family name, labels) pair: `pictures_decoded{node=6}`.
-//     Labels carry the proto node id and the stream id, the two dimensions
-//     every engine shares;
+//     Labels carry the proto node id and a stream tag (0 on engine metrics,
+//     -1 on transport-wide ones), the two dimensions every engine shares;
 //   * instruments are lock-free on the hot path: Counter and Gauge are single
 //     relaxed atomics, Histogram is a fixed array of atomic buckets. The
 //     registry mutex is only taken when an instrument is first resolved —
@@ -40,7 +40,7 @@ namespace pdw::obs {
 // (process-wide metrics such as retransmit totals of a whole fabric).
 struct Labels {
   int node = -1;    // proto::Topology node id
-  int stream = -1;  // elementary stream id (multi-stream sessions)
+  int stream = -1;  // 0 on engine metrics, -1 on transport-wide ones
 
   friend bool operator==(const Labels&, const Labels&) = default;
   friend auto operator<=>(const Labels&, const Labels&) = default;
@@ -238,23 +238,11 @@ inline constexpr char kSurfacePoolRecycles[] = "surface_pool_recycles";
 inline constexpr char kSurfacePoolBytesInFlight[] =
     "surface_pool_bytes_in_flight";  // gauge
 // Allocations that fell back to plain heap blocks because the pool byte
-// budget was spent — the memory leg of the overload/backpressure signal
-// (a growing value means current demand exceeds the configured budget).
+// budget was spent (a growing value means current demand exceeds the
+// configured budget).
 inline constexpr char kPoolBudgetFallbacks[] = "pool_budget_fallbacks";
 inline constexpr char kSurfacePoolBudgetFallbacks[] =
     "surface_pool_budget_fallbacks";
-// Multi-tenant admission & QoS (src/proto/admission.h). Admission counters
-// are unlabeled totals; the per-tenant families are labeled {stream} and
-// feed wall_top's tenant table.
-inline constexpr char kAdmissionAccepted[] = "admission_accepted";
-inline constexpr char kAdmissionRejected[] = "admission_rejected";
-inline constexpr char kAdmissionRenegotiated[] = "admission_renegotiated";
-inline constexpr char kTenantAdmitted[] = "tenant_admitted";        // gauge
-inline constexpr char kTenantPriorityClass[] = "tenant_priority";   // gauge
-inline constexpr char kTenantDegradeLevel[] = "tenant_degrade";     // gauge
-inline constexpr char kTenantPicturesShed[] = "tenant_pictures_shed";
-inline constexpr char kTenantDeadlineMisses[] = "tenant_deadline_misses";
-inline constexpr char kTenantDeadlineChecks[] = "tenant_deadline_checks";
 // Socket-transport families (src/net/socket_fabric.h + adaptive RTO in
 // src/net/reliable.h). Labeled {node = self}; wall-clock / link driven, so
 // excluded from engine-equivalence comparisons by design.

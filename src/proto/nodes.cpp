@@ -50,7 +50,7 @@ RootNode::RootNode(const Topology& topo, const Options& opts,
 void RootNode::set_metrics(obs::MetricsRegistry* reg) {
   obs::MetricsRegistry& r = obs::registry_or_global(reg);
   metrics_reg_ = &r;
-  const obs::Labels l{topo_.root(), int(opts_.stream)};
+  const obs::Labels l{topo_.root(), 0};
   m_dispatched_ = &r.counter(obs::family::kPicturesDispatched, l);
   m_go_aheads_ = &r.counter(obs::family::kGoAheadsSeen, l);
   m_hb_recv_ = &r.counter(obs::family::kHeartbeatsRecv, l);
@@ -60,18 +60,15 @@ void RootNode::set_metrics(obs::MetricsRegistry* reg) {
 
 void RootNode::publish_partition_gauges() {
   if (!metrics_reg_ || !table_) return;
-  const int stream = int(opts_.stream);
   const wall::Partition& p = table_->partition(table_->latest_epoch());
-  metrics_reg_->gauge(obs::family::kPartitionEpoch, obs::Labels{-1, stream})
+  metrics_reg_->gauge(obs::family::kPartitionEpoch, obs::Labels{-1, 0})
       .set(int64_t(p.epoch));
   // Cut gauges are labeled {node = cut index}: m-1 column cuts, n-1 rows.
   for (size_t i = 0; i < p.col_cuts_mb.size(); ++i)
-    metrics_reg_
-        ->gauge(obs::family::kPartitionColCutMb, obs::Labels{int(i), stream})
+    metrics_reg_->gauge(obs::family::kPartitionColCutMb, obs::Labels{int(i), 0})
         .set(p.col_cuts_mb[i]);
   for (size_t i = 0; i < p.row_cuts_mb.size(); ++i)
-    metrics_reg_
-        ->gauge(obs::family::kPartitionRowCutMb, obs::Labels{int(i), stream})
+    metrics_reg_->gauge(obs::family::kPartitionRowCutMb, obs::Labels{int(i), 0})
         .set(p.row_cuts_mb[i]);
 }
 
@@ -144,7 +141,6 @@ void RootNode::declare_dead(int node, Step* step) {
     dn.dead_tile = uint16_t(t);
     dn.adopter_tile = adopter_tile >= 0 ? uint16_t(adopter_tile) : kNoTile;
     dn.resync_pic = resync;
-    dn.stream = opts_.stream;
     const Packed packed = pack(dn);
     for (int s = 0; s < topo_.k; ++s)
       step->send.push_back(Outgoing{topo_.splitter(s), true, packed});
@@ -189,7 +185,6 @@ std::vector<Outgoing> RootNode::dispatch(std::span<const uint8_t> coded) {
       PartitionUpdateMsg pu;
       pu.epoch = next->epoch;
       pu.apply_from_pic = cursor_;
-      pu.stream = opts_.stream;
       for (int c : next->col_cuts_mb) pu.col_cuts_mb.push_back(uint16_t(c));
       for (int r : next->row_cuts_mb) pu.row_cuts_mb.push_back(uint16_t(r));
       const Packed packed = pack(pu);
@@ -209,7 +204,7 @@ std::vector<Outgoing> RootNode::dispatch(std::span<const uint8_t> coded) {
   // is packed straight into the pooled body — the one copy this picture
   // makes on its way to the splitter.
   const uint32_t epoch = table_ ? table_->epoch_for(cursor_) : 0;
-  Packed p = pack_picture(cursor_, topo_.nsid(cursor_), opts_.stream, coded,
+  Packed p = pack_picture(cursor_, topo_.nsid(cursor_), /*stream=*/0, coded,
                           epoch);
   const int dst = topo_.splitter(topo_.splitter_for_picture(cursor_));
   ++cursor_;
@@ -222,7 +217,7 @@ std::vector<Outgoing> RootNode::end_of_stream() const {
   std::vector<Outgoing> out;
   for (int s = 0; s < topo_.k; ++s)
     out.push_back(
-        Outgoing{topo_.splitter(s), true, pack(EndOfStream{opts_.stream})});
+        Outgoing{topo_.splitter(s), true, pack(EndOfStream{})});
   return out;
 }
 
@@ -236,8 +231,8 @@ bool RootNode::all_reported() const {
 
 // --- SplitterNode ----------------------------------------------------------
 
-SplitterNode::SplitterNode(const Topology& topo, int index, uint8_t stream)
-    : topo_(topo), index_(index), stream_(stream) {
+SplitterNode::SplitterNode(const Topology& topo, int index)
+    : topo_(topo), index_(index) {
   route_.resize(size_t(topo.tiles));
   for (int t = 0; t < topo_.tiles; ++t) {
     live_.insert(topo_.decoder(t));
@@ -247,7 +242,7 @@ SplitterNode::SplitterNode(const Topology& topo, int index, uint8_t stream)
 
 void SplitterNode::set_metrics(obs::MetricsRegistry* reg) {
   obs::MetricsRegistry& r = obs::registry_or_global(reg);
-  const obs::Labels l{topo_.splitter(index_), int(stream_)};
+  const obs::Labels l{topo_.splitter(index_), 0};
   m_acks_recv_ = &r.counter(obs::family::kAcksRecv, l);
   m_skips_ = &r.counter(obs::family::kSkipBroadcasts, l);
 }
@@ -283,7 +278,6 @@ SplitterNode::Step SplitterNode::on_send_failure(const SendFailure& f) {
   SkipBroadcast skip;
   skip.pic_index = f.seq;
   skip.tile = f.aux;
-  skip.stream = stream_;
   if (f.type == MsgType::kSubPicture) {
     for (int node : live_)
       step.send.push_back(Outgoing{node, true, pack(skip)});
@@ -300,7 +294,6 @@ PictureMsg SplitterNode::pop_picture(Outgoing* go_ahead) {
   pictures_.erase(pictures_.begin());
   GoAheadAck ack;
   ack.pic_index = m.pic_index;
-  ack.stream = stream_;
   *go_ahead = Outgoing{topo_.root(), true, pack(ack)};
   return m;
 }
@@ -330,7 +323,6 @@ std::vector<Outgoing> SplitterNode::skip_picture(uint32_t pic) const {
     SkipBroadcast skip;
     skip.pic_index = pic;
     skip.tile = uint16_t(d);
-    skip.stream = stream_;
     for (int node : live_) out.push_back(Outgoing{node, true, pack(skip)});
   }
   if (m_skips_) m_skips_->add(out.size());
@@ -353,7 +345,7 @@ DecoderNode::DecoderNode(const Topology& topo, int home_tile,
 
 void DecoderNode::set_metrics(obs::MetricsRegistry* reg) {
   obs::MetricsRegistry& r = obs::registry_or_global(reg);
-  const obs::Labels l{self_, int(opts_.stream)};
+  const obs::Labels l{self_, 0};
   m_hb_sent_ = &r.counter(obs::family::kHeartbeatsSent, l);
   m_acks_sent_ = &r.counter(obs::family::kAcksSent, l);
   m_adoptions_ = &r.counter(obs::family::kAdoptions, l);
@@ -405,7 +397,6 @@ std::vector<Outgoing> DecoderNode::on_tick(double now) {
   last_hb_ = now;
   Heartbeat hb;
   hb.tile = uint16_t(home_tile_);
-  hb.stream = opts_.stream;
   out.push_back(Outgoing{topo_.root(), false, pack(hb)});
   if (m_hb_sent_) m_hb_sent_->add();
   return out;
@@ -513,7 +504,6 @@ std::vector<Outgoing> DecoderNode::finish_picture(uint32_t pic) {
   skips_.erase(skips_.begin(), skips_.lower_bound(key(0, pic + 1)));
   GoAheadAck ack;
   ack.pic_index = pic;
-  ack.stream = opts_.stream;
   if (m_acks_sent_) m_acks_sent_->add();
   return {Outgoing{topo_.ack_target(pic), true, pack(ack)}};
 }
@@ -521,7 +511,6 @@ std::vector<Outgoing> DecoderNode::finish_picture(uint32_t pic) {
 std::vector<Outgoing> DecoderNode::finished() const {
   Finished fin;
   fin.tile = uint16_t(home_tile_);
-  fin.stream = opts_.stream;
   return {Outgoing{topo_.root(), true, pack(fin)}};
 }
 

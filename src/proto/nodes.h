@@ -193,7 +193,6 @@ class RootNode {
   struct Options {
     double heartbeat_timeout_s = 1e9;
     RecoveryPolicy recovery = RecoveryPolicy::kAdopt;
-    uint8_t stream = 0;
     AdaptivePartition adaptive;
   };
 
@@ -307,7 +306,7 @@ class SplitterNode {
     std::optional<PartitionUpdateMsg> partition;
   };
 
-  SplitterNode(const Topology& topo, int index, uint8_t stream = 0);
+  SplitterNode(const Topology& topo, int index);
 
   // See RootNode::set_metrics.
   void set_metrics(obs::MetricsRegistry* reg);
@@ -347,7 +346,6 @@ class SplitterNode {
  private:
   Topology topo_;
   int index_ = 0;
-  uint8_t stream_ = 0;
   std::vector<PictureMsg> pictures_;  // FIFO (front = next)
   std::map<uint32_t, std::set<int>> acked_;  // picture -> decoder nodes
   std::set<int> live_;
@@ -369,7 +367,6 @@ class DecoderNode {
   struct Options {
     double heartbeat_interval_s = 0.02;
     uint32_t total_pictures = 0;
-    uint8_t stream = 0;
   };
 
   struct Step {

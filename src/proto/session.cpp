@@ -1,10 +1,7 @@
 #include "proto/session.h"
 
-#include <algorithm>
 #include <map>
 #include <utility>
-
-#include "mem/pool.h"
 
 #include "common/check.h"
 #include "common/timing.h"
@@ -35,14 +32,13 @@ struct SerialStream::DecoderHost {
 };
 
 SerialStream::SerialStream(const wall::TileGeometry& geo, int k,
-                           std::span<const uint8_t> es, uint8_t stream_id,
+                           std::span<const uint8_t> es,
                            obs::MetricsRegistry* metrics,
                            RootNode::AdaptivePartition adaptive)
     : geo_(geo),
       table_(geo),
       adaptive_(adaptive.enabled),
       topo_{k, geo.tiles()},
-      stream_id_(stream_id),
       root_(es) {
   PDW_CHECK_GE(k, 1);
   obs::MetricsRegistry& mreg = obs::registry_or_global(metrics);
@@ -50,26 +46,24 @@ SerialStream::SerialStream(const wall::TileGeometry& geo, int k,
     splitters_.push_back(std::make_unique<core::MacroblockSplitter>(geo));
     splitters_.back()->set_stream_info(root_.stream_info());
     splitter_nodes_.push_back(
-        std::make_unique<SplitterNode>(topo_, s, stream_id));
+        std::make_unique<SplitterNode>(topo_, s));
     splitter_nodes_.back()->set_metrics(metrics);
     sm_.emplace_back();
-    sm_.back().resolve(mreg, topo_.splitter(s), int(stream_id));
+    sm_.back().resolve(mreg, topo_.splitter(s));
   }
   DecoderNode::Options dopts;
   dopts.total_pictures = uint32_t(root_.picture_count());
-  dopts.stream = stream_id;
   for (int t = 0; t < topo_.tiles; ++t) {
     decoders_.push_back(std::make_unique<DecoderHost>(topo_, t, dopts));
     decoders_.back()->node.set_metrics(metrics);
     dm_.emplace_back();
-    dm_.back().resolve(mreg, topo_.decoder(t), int(stream_id));
+    dm_.back().resolve(mreg, topo_.decoder(t));
   }
 
   std::vector<PictureMeta> metas(size_t(root_.picture_count()));
   for (int i = 0; i < root_.picture_count(); ++i)
     metas[size_t(i)].has_gop_header = root_.span(i).has_gop_header;
   RootNode::Options ropts;
-  ropts.stream = stream_id;
   ropts.adaptive = adaptive;
   ropts.adaptive.geo = &geo_;
   root_node_ =
@@ -83,16 +77,6 @@ SerialStream::SerialStream(const wall::TileGeometry& geo, int k,
 SerialStream::~SerialStream() = default;
 
 int SerialStream::picture_count() const { return root_.picture_count(); }
-
-mpeg2::PicType SerialStream::next_picture_type() const {
-  PDW_CHECK(!done());
-  return root_.picture_type(int(cursor_));
-}
-
-bool SerialStream::next_gop_start() const {
-  PDW_CHECK(!done());
-  return root_.span(int(cursor_)).has_gop_header;
-}
 
 void SerialStream::deliver(int src, const Outgoing& o) {
   acct_.record(src, o.dst, o.msg.type, o.msg.body.size());
@@ -145,8 +129,7 @@ void SerialStream::install_partition(const PartitionUpdateMsg& pu) {
                       pu.row_cuts_mb);
 }
 
-void SerialStream::step(const DisplayFn& on_display, const TraceFn& on_trace,
-                        bool shed) {
+void SerialStream::step(const DisplayFn& on_display, const TraceFn& on_trace) {
   PDW_CHECK(!finished_);
   PDW_CHECK(!done());
   const int tiles = topo_.tiles;
@@ -194,52 +177,37 @@ void SerialStream::step(const DisplayFn& on_display, const TraceFn& on_trace,
 
   core::SplitResult result;
   std::vector<SpMsg> sp_msgs(static_cast<size_t>(tiles));
-  if (shed) {
-    // QoS shed: the picture costs no split work at all — the start-code
-    // scan's peeked type stands in for the parse, and the failure status
-    // routes the step down the same skip-broadcast path an undecodable
-    // picture takes.
-    ++pictures_shed_;
-    result.status = DecodeStatus::error(DecodeErr::kUnsupported,
-                                        DecodeSeverity::kPicture, 0);
-    result.info.type = root_.picture_type(int(i));
-    tr.type = result.info.type;
-    tr.split_stats = result.stats;
-  } else {
-    {
-      PDW_TRACE_SPAN(obs::span::kSplitPic, topo_.splitter(s), i);
-      WallTimer t;
-      result = splitters_[size_t(s)]->split(pic.coded, i, egeo);
-      if (result.status.ok()) {
-        // Serializing SPs and MEIs into wire messages is splitter work.
-        for (int d = 0; d < tiles; ++d) {
-          SpMsg& m = sp_msgs[size_t(d)];
-          m.pic_index = i;
-          m.tile = uint16_t(d);
-          m.stream = stream_id_;
-          m.epoch = pic.epoch;
-          m.subpicture = result.subpictures[size_t(d)].serialize_pooled();
-          m.mei = std::move(result.mei[size_t(d)]);
-          tr.sp_msg_bytes[size_t(d)] =
-              sp_msg_wire_bytes(m.subpicture.size(), m.mei.size());
-        }
+  {
+    PDW_TRACE_SPAN(obs::span::kSplitPic, topo_.splitter(s), i);
+    WallTimer t;
+    result = splitters_[size_t(s)]->split(pic.coded, i, egeo);
+    if (result.status.ok()) {
+      // Serializing SPs and MEIs into wire messages is splitter work.
+      for (int d = 0; d < tiles; ++d) {
+        SpMsg& m = sp_msgs[size_t(d)];
+        m.pic_index = i;
+        m.tile = uint16_t(d);
+        m.epoch = pic.epoch;
+        m.subpicture = result.subpictures[size_t(d)].serialize_pooled();
+        m.mei = std::move(result.mei[size_t(d)]);
+        tr.sp_msg_bytes[size_t(d)] =
+            sp_msg_wire_bytes(m.subpicture.size(), m.mei.size());
       }
-      tr.split_s = t.seconds();
     }
-    tr.type = result.info.type;
-    tr.split_stats = result.stats;
-    if (result.status.ok() && sm_[size_t(s)].pictures_split)
-      sm_[size_t(s)].pictures_split->add();
-    if (sm_[size_t(s)].split_ns)
-      sm_[size_t(s)].split_ns->observe(uint64_t(tr.split_s * 1e9));
+    tr.split_s = t.seconds();
   }
+  tr.type = result.info.type;
+  tr.split_stats = result.stats;
+  if (result.status.ok() && sm_[size_t(s)].pictures_split)
+    sm_[size_t(s)].pictures_split->add();
+  if (sm_[size_t(s)].split_ns)
+    sm_[size_t(s)].split_ns->observe(uint64_t(tr.split_s * 1e9));
 
   // Cost report for the planner — one per picture, empty vectors when the
-  // picture was shed or undecodable, so the root's completeness count holds.
+  // picture was undecodable, so the root's completeness count holds.
   if (adaptive_) {
     CostReportMsg cr;
     cr.pic_index = i;
-    cr.stream = stream_id_;
     cr.col_cost = result.stats.cost_col;
     cr.row_cost = result.stats.cost_row;
     deliver(topo_.splitter(s), Outgoing{topo_.root(), true, pack(cr)});
@@ -289,7 +257,6 @@ void SerialStream::step(const DisplayFn& on_display, const TraceFn& on_trace,
         m.pic_index = i;
         m.src_tile = uint16_t(d);
         m.dst_tile = instr.peer;
-        m.stream = stream_id_;
       }
       m.entries.push_back(std::move(e));
     }
@@ -372,106 +339,6 @@ void SerialStream::finish(const DisplayFn& on_display) {
       deliver(topo_.decoder(d), o);
   }
   PDW_CHECK(root_node_->all_reported());
-}
-
-StreamSession::StreamSession(const wall::TileGeometry& geo, int k)
-    : geo_(geo), k_(k) {}
-
-StreamSession::~StreamSession() = default;
-
-int StreamSession::add_stream(std::span<const uint8_t> es) {
-  const int id = streams_.empty() ? 0 : streams_.rbegin()->first + 1;
-  PDW_CHECK_LT(id, 256);  // the wire `stream` tag is a byte
-  Slot& slot = streams_[id];
-  slot.ss = std::make_unique<SerialStream>(geo_, k_, es, uint8_t(id));
-  return id;
-}
-
-void StreamSession::enable_admission(AdmissionController::Config cfg) {
-  PDW_CHECK(streams_.empty());  // gate before anything attaches
-  adm_ = std::make_unique<AdmissionController>(cfg);
-}
-
-StreamReply StreamSession::attach_stream(int stream_id,
-                                         std::span<const uint8_t> es,
-                                         const TenantSpec& spec) {
-  PDW_CHECK(adm_ != nullptr);
-  StreamReply rep;
-  rep.verdict = AdmissionVerdict::kReject;
-  rep.level = DegradeLevel::kFreeze;
-  if (stream_id < 0 || stream_id > 255) return rep;
-  rep.stream = uint8_t(stream_id);
-  if (streams_.count(stream_id)) return rep;  // duplicate attach
-  rep = adm_->offer(to_request(spec, uint8_t(stream_id)));
-  if (rep.verdict == AdmissionVerdict::kReject) return rep;
-  Slot& slot = streams_[stream_id];
-  slot.ss = std::make_unique<SerialStream>(geo_, k_, es, uint8_t(stream_id));
-  slot.spec = spec;
-  slot.gated = true;
-  return rep;
-}
-
-StreamSession::Result StreamSession::run(const DisplayFn& on_display) {
-  Result r;
-  r.streams = streams();
-  const int max_id = streams_.empty() ? -1 : streams_.rbegin()->first;
-  r.stream_pictures.assign(size_t(max_id + 1), 0);
-  WallTimer timer;
-  // Pool-pressure baseline: only fallbacks that happen *during* this run
-  // count as backpressure (the process-global pool carries history).
-  uint64_t pool_fallbacks =
-      adm_ ? mem::BufferPool::wire().pressure().budget_fallbacks : 0;
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (auto& [id, slot] : streams_) {
-      SerialStream& ss = *slot.ss;
-      if (ss.done()) continue;
-      bool shed = false;
-      if (adm_ && slot.gated)
-        shed = adm_->should_shed(uint8_t(id), ss.next_picture_type(),
-                                 ss.next_gop_start());
-      WallTimer step_timer;
-      ss.step(
-          [&, id = id](int tile, const mpeg2::TileFrame& tf,
-                       const core::TileDisplayInfo& info) {
-            if (on_display) on_display(id, tile, tf, info);
-          },
-          /*on_trace=*/nullptr, shed);
-      if (adm_ && slot.gated && slot.spec.fps > 0)
-        adm_->deadline_check(
-            uint8_t(id), step_timer.seconds() > 1.0 / double(slot.spec.fps));
-      if (shed) ++r.shed;
-      ++r.stream_pictures[size_t(id)];
-      ++r.pictures;
-      progressed = true;
-      // A tenant's budget frees the moment its stream ends — mid-GOP or
-      // not — so later rounds admit/revert against the true load.
-      if (ss.done() && adm_ && slot.gated) adm_->release(uint8_t(id));
-    }
-    if (adm_ && progressed) {
-      // One backpressure reading per round (bounding ladder movement to one
-      // step per round). Base signal: committed load against *raw* capacity,
-      // so a merely-full wall sits in the dead band. A wire-pool budget
-      // fallback during the round means memory demand outran the budget —
-      // that forces the signal to the degrade threshold.
-      double signal = adm_->committed_load() / adm_->config().capacity.mb_per_s;
-      const mem::PoolPressure bp = mem::BufferPool::wire().pressure();
-      if (bp.budget_fallbacks > pool_fallbacks)
-        signal = std::max(signal, adm_->config().degrade_at);
-      pool_fallbacks = bp.budget_fallbacks;
-      adm_->on_pressure(signal);
-    }
-  }
-  for (auto& [id, slot] : streams_)
-    slot.ss->finish([&, id = id](int tile, const mpeg2::TileFrame& tf,
-                                 const core::TileDisplayInfo& info) {
-      if (on_display) on_display(id, tile, tf, info);
-    });
-  r.wall_seconds = timer.seconds();
-  r.aggregate_fps =
-      r.wall_seconds > 0 ? double(r.pictures) / r.wall_seconds : 0.0;
-  return r;
 }
 
 }  // namespace pdw::proto

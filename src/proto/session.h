@@ -1,4 +1,4 @@
-// Serial hosting of the protocol state machines, and multi-stream sessions.
+// Serial hosting of the protocol state machines.
 //
 // SerialStream is one elementary stream's full 1-k-(m,n) pipeline —
 // RootNode, k SplitterNodes, one DecoderNode per tile, plus the compute they
@@ -9,17 +9,9 @@
 // cannot drift from the cluster runtime. It also times every operation on
 // real data, producing the per-picture PictureTraces the discrete-event
 // simulator replays.
-//
-// StreamSession is the multi-stream layer the wire format's `stream` byte
-// exists for: N independent elementary streams decoded through one wall,
-// pictures interleaved round-robin across streams (the paper's Table-4
-// catalog served concurrently). Each stream keeps its own protocol machines
-// and reference state, tagged with its stream id; bench_multistream measures
-// aggregate fps as N grows.
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 
@@ -27,7 +19,6 @@
 #include "core/root_splitter.h"
 #include "core/tile_decoder.h"
 #include "obs/instruments.h"
-#include "proto/admission.h"
 #include "proto/nodes.h"
 #include "wall/geometry.h"
 
@@ -61,34 +52,22 @@ class SerialStream {
       int tile, const mpeg2::TileFrame&, const core::TileDisplayInfo&)>;
   using TraceFn = std::function<void(const PictureTrace&)>;
 
-  // `es` is borrowed and must outlive the stream. `stream_id` tags every
-  // wire message (0 for single-stream engines). `metrics` selects the
+  // `es` is borrowed and must outlive the stream. `metrics` selects the
   // registry telemetry lands in (nullptr: the process-global one).
   // `adaptive` turns on per-GOP partition rebalancing (the engine supplies
   // the base geometry itself; any `geo` set by the caller is ignored).
   SerialStream(const wall::TileGeometry& geo, int k,
-               std::span<const uint8_t> es, uint8_t stream_id = 0,
+               std::span<const uint8_t> es,
                obs::MetricsRegistry* metrics = nullptr,
                RootNode::AdaptivePartition adaptive = {});
   ~SerialStream();
 
   int picture_count() const;
-  uint32_t next_picture() const { return cursor_; }
   bool done() const { return int(cursor_) >= picture_count(); }
 
-  // Coding type / closed-GOP flag of the next picture, peeked from the
-  // start-code scan — what the QoS ladder needs *before* any split work.
-  mpeg2::PicType next_picture_type() const;
-  bool next_gop_start() const;
-  uint64_t pictures_shed() const { return pictures_shed_; }
-
   // Advance one picture end to end: dispatch -> split -> serve/exchange ->
-  // decode -> ack. Either callback may be null. With `shed` the picture is
-  // dispatched but never split: the splitter broadcasts a skip and every
-  // tile emits a frozen frame — the QoS degradation path, riding the same
-  // machinery as an undecodable picture.
-  void step(const DisplayFn& on_display, const TraceFn& on_trace,
-            bool shed = false);
+  // decode -> ack. Either callback may be null.
+  void step(const DisplayFn& on_display, const TraceFn& on_trace);
 
   // End-of-stream protocol: flush every tile decoder and run the
   // finished-notice handshake. Call once, after the last step().
@@ -112,7 +91,6 @@ class SerialStream {
   wall::PartitionTable table_;
   bool adaptive_ = false;
   Topology topo_;
-  uint8_t stream_id_;
   core::RootSplitter root_;
   std::vector<std::unique_ptr<core::MacroblockSplitter>> splitters_;
   std::vector<std::unique_ptr<DecoderHost>> decoders_;
@@ -120,68 +98,11 @@ class SerialStream {
   std::vector<std::unique_ptr<SplitterNode>> splitter_nodes_;
   WireAccounting acct_;
   uint32_t cursor_ = 0;
-  uint64_t pictures_shed_ = 0;
   bool finished_ = false;
 
   // Cached telemetry instruments, resolved once at construction.
   std::vector<obs::SplitterInstruments> sm_;  // by splitter index
   std::vector<obs::DecoderInstruments> dm_;   // by tile
-};
-
-// N independent elementary streams through one wall, one picture per stream
-// per round. Optionally admission-gated: with enable_admission() every
-// attach goes through the AdmissionController and the per-round scheduler
-// consults its degradation ladder before stepping each stream.
-class StreamSession {
- public:
-  StreamSession(const wall::TileGeometry& geo, int k);
-  ~StreamSession();
-
-  // Returns the stream id (also the wire `stream` tag). `es` is borrowed.
-  // Ungated legacy attach — always admitted, never shed.
-  int add_stream(std::span<const uint8_t> es);
-  int streams() const { return int(streams_.size()); }
-
-  // Turn on multi-tenant admission. Must precede attach_stream().
-  void enable_admission(AdmissionController::Config cfg);
-  AdmissionController* admission() { return adm_.get(); }
-
-  // Admission-gated attach at an explicit stream id. Creates the stream only
-  // on accept/renegotiate; a duplicate id (live or already attached) or an
-  // out-of-range id gets a typed kReject and changes nothing.
-  StreamReply attach_stream(int stream_id, std::span<const uint8_t> es,
-                            const TenantSpec& spec);
-
-  using DisplayFn =
-      std::function<void(int stream, int tile, const mpeg2::TileFrame&,
-                         const core::TileDisplayInfo&)>;
-
-  struct Result {
-    int streams = 0;
-    uint64_t pictures = 0;  // total across streams (shed ones included)
-    uint64_t shed = 0;      // pictures shed by the QoS ladder
-    double wall_seconds = 0;
-    double aggregate_fps = 0;  // pictures / wall_seconds
-    std::vector<uint64_t> stream_pictures;  // indexed by stream id
-  };
-
-  // Decode every stream to completion, interleaving pictures round-robin.
-  // Streams may finish in any order relative to attach order; a stream that
-  // ends mid-GOP simply stops stepping while the others continue. Admitted
-  // tenants are released from the controller as they finish.
-  Result run(const DisplayFn& on_display);
-
- private:
-  struct Slot {
-    std::unique_ptr<SerialStream> ss;
-    TenantSpec spec;
-    bool gated = false;  // attached through admission
-  };
-
-  const wall::TileGeometry& geo_;
-  int k_;
-  std::map<int, Slot> streams_;  // keyed by stream id
-  std::unique_ptr<AdmissionController> adm_;
 };
 
 }  // namespace pdw::proto

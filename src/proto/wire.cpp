@@ -16,8 +16,6 @@ constexpr size_t kHeartbeatBodyBytes = 3 + 2;
 constexpr size_t kFinishedBodyBytes = 3 + 2;
 constexpr size_t kDeathNoticeBodyBytes = 3 + 2 + 2 + 4;
 constexpr size_t kSkipBroadcastBodyBytes = 3 + 4 + 2;
-constexpr size_t kStreamRequestBodyBytes = 3 + 2 + 2 + 2 + 1;
-constexpr size_t kStreamReplyBodyBytes = 3 + 1 + 1;
 
 // Allocate the exact-size pooled body and return a writer over it. The
 // PDW_CHECK in finish_body catches any drift between the size helpers and
@@ -85,38 +83,8 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kFinished: return "finished";
     case MsgType::kDeathNotice: return "death-notice";
     case MsgType::kSkipBroadcast: return "skip";
-    case MsgType::kStreamRequest: return "stream-request";
-    case MsgType::kStreamReply: return "stream-reply";
     case MsgType::kPartitionUpdate: return "partition-update";
     case MsgType::kCostReport: return "cost-report";
-  }
-  return "unknown";
-}
-
-const char* priority_class_name(PriorityClass c) {
-  switch (c) {
-    case PriorityClass::kBackground: return "background";
-    case PriorityClass::kStandard: return "standard";
-    case PriorityClass::kPremium: return "premium";
-  }
-  return "unknown";
-}
-
-const char* degrade_level_name(DegradeLevel l) {
-  switch (l) {
-    case DegradeLevel::kNone: return "full";
-    case DegradeLevel::kSkipB: return "skip-B";
-    case DegradeLevel::kSkipP: return "skip-P";
-    case DegradeLevel::kFreeze: return "freeze";
-  }
-  return "unknown";
-}
-
-const char* admission_verdict_name(AdmissionVerdict v) {
-  switch (v) {
-    case AdmissionVerdict::kAccept: return "accept";
-    case AdmissionVerdict::kReject: return "reject";
-    case AdmissionVerdict::kRenegotiate: return "renegotiate";
   }
   return "unknown";
 }
@@ -463,63 +431,6 @@ bool decode(std::span<const uint8_t> data, SkipBroadcast* out) {
   return r.done();
 }
 
-// --- StreamRequest ---------------------------------------------------------
-
-Packed pack(const StreamRequest& m) {
-  Packed p;
-  p.type = MsgType::kStreamRequest;
-  p.stream = m.stream;
-  p.aux = uint16_t(m.priority);
-  ByteWriter w = body_writer(&p, kStreamRequestBodyBytes);
-  put_prefix(&w, MsgType::kStreamRequest, m.stream);
-  w.u16(m.width_mb);
-  w.u16(m.height_mb);
-  w.u16(m.fps);
-  w.u8(uint8_t(m.priority));
-  finish_body(p, w);
-  return p;
-}
-
-bool decode(std::span<const uint8_t> data, StreamRequest* out) {
-  ByteReader r(data);
-  if (!take_prefix(&r, MsgType::kStreamRequest, &out->stream)) return false;
-  out->width_mb = r.u16();
-  out->height_mb = r.u16();
-  out->fps = r.u16();
-  const uint8_t priority = r.u8();
-  if (!r.done() || priority > uint8_t(PriorityClass::kPremium)) return false;
-  out->priority = PriorityClass(priority);
-  return true;
-}
-
-// --- StreamReply -----------------------------------------------------------
-
-Packed pack(const StreamReply& m) {
-  Packed p;
-  p.type = MsgType::kStreamReply;
-  p.stream = m.stream;
-  p.aux = uint16_t(m.verdict);
-  ByteWriter w = body_writer(&p, kStreamReplyBodyBytes);
-  put_prefix(&w, MsgType::kStreamReply, m.stream);
-  w.u8(uint8_t(m.verdict));
-  w.u8(uint8_t(m.level));
-  finish_body(p, w);
-  return p;
-}
-
-bool decode(std::span<const uint8_t> data, StreamReply* out) {
-  ByteReader r(data);
-  if (!take_prefix(&r, MsgType::kStreamReply, &out->stream)) return false;
-  const uint8_t verdict = r.u8();
-  const uint8_t level = r.u8();
-  if (!r.done() || verdict > uint8_t(AdmissionVerdict::kRenegotiate) ||
-      level > uint8_t(DegradeLevel::kFreeze))
-    return false;
-  out->verdict = AdmissionVerdict(verdict);
-  out->level = DegradeLevel(level);
-  return true;
-}
-
 // --- PartitionUpdateMsg ----------------------------------------------------
 
 Packed pack(const PartitionUpdateMsg& m) {
@@ -616,8 +527,6 @@ std::optional<AnyMsg> decode_any(std::span<const uint8_t> data) {
     case MsgType::kFinished: return try_decode(Finished{});
     case MsgType::kDeathNotice: return try_decode(DeathNotice{});
     case MsgType::kSkipBroadcast: return try_decode(SkipBroadcast{});
-    case MsgType::kStreamRequest: return try_decode(StreamRequest{});
-    case MsgType::kStreamReply: return try_decode(StreamReply{});
     case MsgType::kPartitionUpdate: return try_decode(PartitionUpdateMsg{});
     case MsgType::kCostReport: return try_decode(CostReportMsg{});
   }

@@ -7,10 +7,9 @@
 // returns false on truncated, oversized, version-skewed or otherwise
 // malformed bytes and never crashes (fuzz/fuzz_wire.cpp holds it to that).
 //
-// The `stream` byte is the StreamSession multiplexing tag (proto/session.h):
-// one wall can interleave pictures from several independent elementary
-// streams, and every protocol message names the stream it belongs to.
-// Single-stream engines use stream 0 throughout.
+// The `stream` byte is reserved and always 0: a wall decodes one elementary
+// stream. It stays in every body prefix (and in the socket datagram
+// envelope) so that the bytes on the wire do not change.
 //
 // Transport mapping: a packed message also carries envelope fields (type,
 // seq, aux, bulk) mirroring what transports key on — net::Message for the
@@ -50,8 +49,7 @@ enum class MsgType : uint8_t {
   kFinished = 7,       // decoder -> root: stream done, stop monitoring me
   kDeathNotice = 8,    // root -> everyone (dead tile, adopter, resync)
   kSkipBroadcast = 9,  // splitter -> decoders: picture (tile, seq) is lost
-  kStreamRequest = 10,  // tenant -> root: admit this stream (declared cost)
-  kStreamReply = 11,    // root -> tenant: accept / reject / renegotiate
+  // 10 and 11 are retired, never to be reused: decode_any rejects them.
   kPartitionUpdate = 12,  // root -> everyone: new partition epoch's cut lines
   kCostReport = 13,       // splitter -> root: per-axis cost of one picture
 };
@@ -177,9 +175,9 @@ struct SkipBroadcast {
 
 // Root -> everyone: partition epoch `epoch` (cut lines on the macroblock
 // grid, wall/partition.h) applies from picture `apply_from_pic` onward.
-// Epochs are dense per stream; the root only ever rebalances at closed-GOP I
-// pictures, so no picture >= apply_from_pic references a frame cut under an
-// older epoch.
+// Epochs are dense; the root only ever rebalances at closed-GOP I pictures,
+// so no picture >= apply_from_pic references a frame cut under an older
+// epoch.
 struct PartitionUpdateMsg {
   uint32_t epoch = 0;
   uint32_t apply_from_pic = 0;
@@ -202,65 +200,6 @@ struct CostReportMsg {
   std::vector<uint32_t> row_cost;  // one entry per MB row
 
   friend bool operator==(const CostReportMsg&, const CostReportMsg&) = default;
-};
-
-// --- Admission handshake (multi-tenant serving) ----------------------------
-
-// QoS class of a tenant's stream. Lower classes degrade and shed first; the
-// admission controller never degrades class N while class N+1 still has
-// headroom to give up.
-enum class PriorityClass : uint8_t {
-  kBackground = 0,  // best-effort (preview walls, transcode feeds)
-  kStandard = 1,    // normal interactive viewing
-  kPremium = 2,     // contractual QoS: protected until everything else is shed
-};
-
-// Degradation ladder, in the order overload applies it. Skipping B pictures
-// is free of drift (nothing references a B picture); kSkipP decodes only I
-// pictures (a P picture's references would be stale); kFreeze holds the last
-// displayed frame. Reverting is only bit-exact at a closed-GOP I picture, so
-// the controller *raises* a stream's level immediately but *lowers* it
-// lazily, at the next picture whose span carries a GOP header.
-enum class DegradeLevel : uint8_t {
-  kNone = 0,
-  kSkipB = 1,
-  kSkipP = 2,
-  kFreeze = 3,
-};
-
-enum class AdmissionVerdict : uint8_t {
-  kAccept = 0,
-  kReject = 1,       // no capacity at any degrade level
-  kRenegotiate = 2,  // admitted, but only at the granted degrade level
-};
-
-const char* priority_class_name(PriorityClass c);
-const char* degrade_level_name(DegradeLevel l);
-const char* admission_verdict_name(AdmissionVerdict v);
-
-// Tenant -> root: admit stream `stream` with this declared cost. The root
-// answers with a StreamReply naming the verdict; attach before an accept is
-// a protocol error.
-struct StreamRequest {
-  uint16_t width_mb = 0;   // declared picture geometry, in macroblocks
-  uint16_t height_mb = 0;
-  uint16_t fps = 0;        // declared picture rate (deadline source)
-  PriorityClass priority = PriorityClass::kStandard;
-  uint8_t stream = 0;
-
-  friend bool operator==(const StreamRequest&, const StreamRequest&) = default;
-};
-
-// Root -> tenant: the admission verdict. On kRenegotiate, `level` is the
-// degrade level the stream is granted at (the tenant may attach at that
-// level or walk away); on kAccept it is kNone; on kReject it is kFreeze
-// (nothing would be decoded anyway).
-struct StreamReply {
-  AdmissionVerdict verdict = AdmissionVerdict::kReject;
-  DegradeLevel level = DegradeLevel::kNone;
-  uint8_t stream = 0;
-
-  friend bool operator==(const StreamReply&, const StreamReply&) = default;
 };
 
 // --- Packing ---------------------------------------------------------------
@@ -301,8 +240,6 @@ Packed pack(const Heartbeat& m);
 Packed pack(const Finished& m);
 Packed pack(const DeathNotice& m);
 Packed pack(const SkipBroadcast& m);
-Packed pack(const StreamRequest& m);
-Packed pack(const StreamReply& m);
 Packed pack(const PartitionUpdateMsg& m);
 Packed pack(const CostReportMsg& m);
 
@@ -317,8 +254,6 @@ bool decode(std::span<const uint8_t> data, Heartbeat* out);
 bool decode(std::span<const uint8_t> data, Finished* out);
 bool decode(std::span<const uint8_t> data, DeathNotice* out);
 bool decode(std::span<const uint8_t> data, SkipBroadcast* out);
-bool decode(std::span<const uint8_t> data, StreamRequest* out);
-bool decode(std::span<const uint8_t> data, StreamReply* out);
 bool decode(std::span<const uint8_t> data, PartitionUpdateMsg* out);
 bool decode(std::span<const uint8_t> data, CostReportMsg* out);
 
@@ -330,8 +265,8 @@ bool decode(const mem::Bytes& data, SpMsg* out);
 
 using AnyMsg =
     std::variant<PictureMsg, SpMsg, GoAheadAck, ExchangeMsg, EndOfStream,
-                 Heartbeat, Finished, DeathNotice, SkipBroadcast, StreamRequest,
-                 StreamReply, PartitionUpdateMsg, CostReportMsg>;
+                 Heartbeat, Finished, DeathNotice, SkipBroadcast,
+                 PartitionUpdateMsg, CostReportMsg>;
 
 // Dispatch on the body's type byte. nullopt on malformed input.
 std::optional<AnyMsg> decode_any(std::span<const uint8_t> data);

@@ -228,63 +228,6 @@ TEST(FaultInjector, CorruptPayloadChangesBytesDeterministically) {
   EXPECT_EQ(p1, p2);                              // identically per replay
 }
 
-TEST(FaultInjector, StreamTagIsolatesSchedulesStream0IsLegacy) {
-  const FaultRates rates{.drop = 0.3, .dup = 0.2, .corrupt = 0.2, .delay = 0.2};
-  FaultInjector inj(1234, rates);
-  int diff_across_streams = 0;
-  for (uint64_t ord = 0; ord < 200; ++ord) {
-    // Stream 0 keys exactly as the pre-multi-stream scheme: old seeds replay.
-    const auto legacy = inj.decide(0, 1, ord, ord, 64);
-    const auto s0 = inj.decide(0, 1, ord, ord, 64, /*stream=*/0);
-    EXPECT_EQ(legacy.drop, s0.drop);
-    EXPECT_EQ(legacy.dup, s0.dup);
-    EXPECT_EQ(legacy.corrupt, s0.corrupt);
-    EXPECT_EQ(legacy.delay_hold, s0.delay_hold);
-    // Another stream on the same link draws an independent schedule.
-    const auto s1 = inj.decide(0, 1, ord, ord, 64, /*stream=*/1);
-    diff_across_streams += (s0.drop != s1.drop) || (s0.dup != s1.dup) ||
-                           (s0.delay_hold != s1.delay_hold);
-  }
-  EXPECT_GT(diff_across_streams, 0);
-}
-
-TEST(Fabric, StreamScheduleIsIndependentOfInterleaving) {
-  // Drop exactly stream 1's second message on link 0->1. However much
-  // stream-0 traffic interleaves with it, the same stream-1 message must
-  // meet that fate — per-(link, stream) ordinals make schedules composable
-  // with multi-stream sessions.
-  FaultEvent ev;
-  ev.kind = FaultEvent::Kind::kDrop;
-  ev.src = 0;
-  ev.dst = 1;
-  ev.at_ordinal = 1;
-  ev.stream = 1;
-  for (int burst : {0, 1, 5}) {
-    FaultInjector inj;
-    inj.add_event(ev);
-    Fabric f(2);
-    f.set_fault_injector(&inj);
-    const auto send = [&](uint8_t stream, int type) {
-      Message m;
-      m.type = type;
-      m.stream = stream;
-      ASSERT_EQ(f.send(0, 1, std::move(m)), SendStatus::kOk);
-    };
-    for (int i = 0; i < 3; ++i) {
-      for (int j = 0; j < burst; ++j) send(0, 7);
-      send(1, 100 + i);
-    }
-    std::vector<int> stream1_types;
-    Message m;
-    while (f.receive_for(1, 0.0, &m) == RecvStatus::kOk)
-      if (m.stream == 1) stream1_types.push_back(m.type);
-    EXPECT_EQ(stream1_types, (std::vector<int>{100, 102}))
-        << "burst=" << burst;
-    // Stream 0 was never touched by stream 1's schedule.
-    EXPECT_EQ(f.counters(1).dropped_messages, 1u) << "burst=" << burst;
-  }
-}
-
 TEST(Crc32, DetectsCorruption) {
   std::vector<uint8_t> data(256);
   for (size_t i = 0; i < data.size(); ++i) data[i] = uint8_t(i * 31);

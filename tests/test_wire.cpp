@@ -145,30 +145,6 @@ TEST(WireRoundtrip, ControlMessages) {
   EXPECT_EQ(pack(sk).seq, sk.pic_index);
 }
 
-TEST(WireRoundtrip, AdmissionMessages) {
-  StreamRequest req;
-  req.width_mb = 120;
-  req.height_mb = 68;
-  req.fps = 30;
-  req.priority = PriorityClass::kPremium;
-  req.stream = 9;
-  EXPECT_EQ(roundtrip(req), req);
-  const Packed p = pack(req);
-  EXPECT_EQ(p.type, MsgType::kStreamRequest);
-  EXPECT_EQ(p.aux, uint16_t(req.priority));
-  EXPECT_EQ(p.stream, req.stream);
-  EXPECT_FALSE(p.bulk);
-
-  StreamReply rep;
-  rep.verdict = AdmissionVerdict::kRenegotiate;
-  rep.level = DegradeLevel::kSkipP;
-  rep.stream = 9;
-  EXPECT_EQ(roundtrip(rep), rep);
-  const Packed pr = pack(rep);
-  EXPECT_EQ(pr.type, MsgType::kStreamReply);
-  EXPECT_EQ(pr.aux, uint16_t(rep.verdict));
-}
-
 PartitionUpdateMsg sample_partition_update() {
   PartitionUpdateMsg m;
   m.epoch = 3;
@@ -235,26 +211,6 @@ TEST(WireReject, PartitionUpdateCutsMustStrictlyIncrease) {
   EXPECT_FALSE(decode(p.body, &out));
 }
 
-TEST(WireReject, AdmissionEnumRanges) {
-  // Out-of-range enum bytes in otherwise well-formed bodies must be
-  // rejected, not reinterpreted.
-  Packed p = pack(StreamRequest{45, 30, 24, PriorityClass::kStandard, 1});
-  StreamRequest req;
-  ASSERT_TRUE(decode(p.body, &req));
-  p.body.mutable_data()[p.body.size() - 1] = 3;  // priority byte past kPremium
-  EXPECT_FALSE(decode(p.body, &req));
-
-  Packed pr = pack(StreamReply{AdmissionVerdict::kAccept,
-                               DegradeLevel::kNone, 1});
-  StreamReply rep;
-  ASSERT_TRUE(decode(pr.body, &rep));
-  pr.body.mutable_data()[pr.body.size() - 2] = 7;  // verdict byte
-  EXPECT_FALSE(decode(pr.body, &rep));
-  pr = pack(StreamReply{AdmissionVerdict::kAccept, DegradeLevel::kNone, 1});
-  pr.body.mutable_data()[pr.body.size() - 1] = 9;  // level byte past kFreeze
-  EXPECT_FALSE(decode(pr.body, &rep));
-}
-
 TEST(WireRoundtrip, DecodeAnyDispatchesEveryType) {
   const auto check = [](const auto& msg) {
     const auto any = decode_any(pack(msg).body);
@@ -273,8 +229,6 @@ TEST(WireRoundtrip, DecodeAnyDispatchesEveryType) {
   check(Finished{1, 2});
   check(DeathNotice{2, 0, 30, 0});
   check(SkipBroadcast{5, 3, 0});
-  check(StreamRequest{80, 45, 30, PriorityClass::kBackground, 7});
-  check(StreamReply{AdmissionVerdict::kReject, DegradeLevel::kFreeze, 7});
   check(sample_partition_update());
   check(sample_cost_report());
 }
@@ -323,6 +277,24 @@ TEST(WireReject, UnknownTypeByte) {
   Packed p = pack(Heartbeat{1, 0});
   p.body.mutable_data()[1] = 0xFE;
   EXPECT_FALSE(decode_any(p.body).has_value());
+}
+
+TEST(WireReject, RetiredAdmissionTypesAreUnknown) {
+  // Types 10 and 11 once carried a stream-admission handshake. Their old
+  // well-formed bodies, packed by hand, must now decode as unknown types.
+  // [version][type 10][stream][width_mb][height_mb][fps][priority]
+  const std::vector<uint8_t> request = {kWireVersion, 10, 0, 120, 0, 68,
+                                        0,            30, 0, 2};
+  // [version][type 11][stream][verdict][level]
+  const std::vector<uint8_t> reply = {kWireVersion, 11, 0, 2, 1};
+  ASSERT_EQ(request.size(), 10u);
+  ASSERT_EQ(reply.size(), 5u);
+  for (const std::vector<uint8_t>& body : {request, reply}) {
+    EXPECT_FALSE(decode_any(body).has_value());
+    mem::Bytes pooled = mem::Bytes::alloc(body.size());
+    std::memcpy(pooled.mutable_data(), body.data(), body.size());
+    EXPECT_FALSE(decode_any(pooled).has_value());
+  }
 }
 
 TEST(WireReject, ExchangeCountOverflow) {
