@@ -1,7 +1,7 @@
 // Codec micro-benchmarks (google-benchmark): the per-primitive costs that
 // make up t_s and t_d — IDCT, forward DCT, DCT coefficient VLC decode,
-// half-pel motion compensation, start-code scanning, full-picture split and
-// full-picture decode. The BM_Kernel* group runs each dispatched kernel at
+// half-pel motion compensation, tile reference fetch, start-code scanning,
+// full-picture split and full-picture decode. The BM_Kernel* group runs each dispatched kernel at
 // every supported level (scalar/sse2/avx2), so the scalar-vs-SIMD speedup
 // per primitive reads directly off one report.
 #include <benchmark/benchmark.h>
@@ -15,11 +15,13 @@
 #include "common/stats.h"
 #include "core/mb_splitter.h"
 #include "core/root_splitter.h"
+#include "core/tile_decoder.h"
 #include "enc/encoder.h"
 #include "kernels/kernels.h"
 #include "mpeg2/decoder.h"
 #include "mpeg2/idct.h"
 #include "mpeg2/motion.h"
+#include "mpeg2/recon.h"
 #include "mpeg2/tables.h"
 #include "video/generator.h"
 #include "wall/geometry.h"
@@ -116,6 +118,53 @@ void BM_MotionCompensateHalfPel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MotionCompensateHalfPel);
+
+// One 17x17 half-pel luma window through the tile decoder's reference
+// source: `inside` lies in the tile (one resolve, one memcpy per row),
+// `straddle` crosses the tile's top-left corner (2x2 cells: three halo
+// entries and one local cell, each resolved once). BM_FrameRefFetch is the
+// serial decoder's full-frame fetch of the same window, the cost to match.
+void BM_TileRefFetch(benchmark::State& state, bool straddle) {
+  mpeg2::Frame ref(128, 128);
+  SplitMix64 rng(5);
+  for (int c = 0; c < 3; ++c)
+    for (uint8_t& v : ref.plane(c).data()) v = uint8_t(rng.next());
+  mpeg2::TileFrame tile(2, 2, 6, 6);
+  core::HaloCache halo;
+  for (int my = 0; my < 8; ++my)
+    for (int mx = 0; mx < 8; ++mx) {
+      const mpeg2::MacroblockPixels px = mpeg2::load_mb(ref, mx, my);
+      if (tile.contains_mb(mx, my))
+        tile.insert_mb(mx, my, px);
+      else if (mx >= 1 && mx <= 6 && my >= 1 && my <= 6)
+        halo.insert(mx, my, px);  // the one-macroblock ring around the tile
+    }
+  const core::TileRefSource src(tile, halo, core::HaloPolicy::kStrict, false);
+  const int x = straddle ? 32 - 5 : 48 + 5;
+  const int y = straddle ? 32 - 3 : 48 + 3;
+  uint8_t window[17 * 17];
+  for (auto _ : state) {
+    src.fetch(0, x, y, 17, 17, window, 17);
+    benchmark::DoNotOptimize(window);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_TileRefFetch, inside, false);
+BENCHMARK_CAPTURE(BM_TileRefFetch, straddle, true);
+
+void BM_FrameRefFetch(benchmark::State& state) {
+  mpeg2::Frame ref(128, 128);
+  const mpeg2::FrameRefSource src(ref);
+  uint8_t window[17 * 17];
+  for (auto _ : state) {
+    src.fetch(0, 48 + 5, 48 + 3, 17, 17, window, 17);
+    benchmark::DoNotOptimize(window);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FrameRefFetch);
 
 void BM_StartCodeScan(benchmark::State& state) {
   const auto& es = test_stream();

@@ -24,79 +24,58 @@ MacroblockPixels gray_mb() {
 
 }  // namespace
 
-// RefSource over a tile-local reference frame plus its halo of remote
-// macroblocks. Gathers a prediction window that may straddle local/remote
-// macroblocks arbitrarily. Same pixel values as the serial decoder's full
-// frame => identical MC arithmetic => bit-exact reconstruction.
-//
-// Under HaloPolicy::kConceal a missing halo macroblock is filled with
-// mid-gray instead of aborting, and the source records that it concealed;
-// reading a tainted halo entry also marks the source. The decoder folds
-// these flags (together with whether the source was read at all) into the
-// reconstructed frame's taint bit.
-class TileDecoder::TileRefSource final : public RefSource {
- public:
-  TileRefSource(const TileFrame& tf, const HaloCache& halo, HaloPolicy policy,
-                bool ref_tainted)
-      : tf_(&tf), halo_(&halo), policy_(policy), ref_tainted_(ref_tainted) {}
-
-  void fetch(int c, int x, int y, int w, int h, uint8_t* dst,
-             int stride) const override {
-    read_ = true;
-    const int mb_edge = c == 0 ? 16 : 8;  // macroblock edge in this plane
-    for (int r = 0; r < h; ++r) {
-      const int gy = y + r;
-      const int mby = gy / mb_edge;
-      int gx = x;
-      int out = 0;
-      while (out < w) {
-        const int mbx = gx / mb_edge;
-        // Columns remaining inside this macroblock's horizontal extent.
-        const int take = std::min(w - out, (mbx + 1) * mb_edge - gx);
-        const uint8_t* src = nullptr;
-        if (tf_->contains_mb(mbx, mby)) {
-          src = tf_->pixel(c, gx, gy);
-        } else {
-          const HaloCache::Entry* e = halo_->find(mbx, mby);
-          if (e == nullptr) {
-            if (policy_ == HaloPolicy::kStrict) {
-              PDW_CHECK(e != nullptr)
-                  << "missing halo macroblock (" << mbx << "," << mby
-                  << ") plane " << c << " — MEI pre-calculation incomplete";
-            }
-            concealed_ = true;
-            std::memset(dst + size_t(r) * stride + out, 128, size_t(take));
-            gx += take;
-            out += take;
-            continue;
-          }
-          if (e->tainted) concealed_ = true;
-          const int ox = gx - mbx * mb_edge;
-          const int oy = gy - mby * mb_edge;
-          const uint8_t* base =
-              c == 0 ? e->px.y : (c == 1 ? e->px.cb : e->px.cr);
-          src = base + oy * mb_edge + ox;
-        }
-        std::memcpy(dst + size_t(r) * stride + out, src, size_t(take));
-        gx += take;
-        out += take;
-      }
-    }
+void TileRefSource::fetch(int c, int x, int y, int w, int h, uint8_t* dst,
+                          int stride) const {
+  read_ = true;
+  if (tf_->contains_rect(c, x, y, w, h)) {
+    copy_block(tf_->block(c, x, y, w, h), tf_->plane(c).stride(), dst, stride,
+               w, h);
+    return;
   }
+  // RefSource windows lie inside the picture, so coordinates are
+  // non-negative and the divisions below are floor divisions.
+  PDW_CHECK(x >= 0 && y >= 0 && w > 0 && h > 0)
+      << "window " << w << "x" << h << " at (" << x << "," << y << ")";
+  const int e = c == 0 ? 16 : 8;  // macroblock edge in this plane
+  for (int cy = y; cy < y + h;) {
+    const int mby = cy / e;
+    const int ch = std::min(y + h, (mby + 1) * e) - cy;
+    for (int cx = x; cx < x + w;) {
+      const int mbx = cx / e;
+      const int cw = std::min(x + w, (mbx + 1) * e) - cx;
+      fetch_cell(c, mbx, mby, cx, cy, cw, ch,
+                 dst + size_t(cy - y) * stride + (cx - x), stride);
+      cx += cw;
+    }
+    cy += ch;
+  }
+}
 
-  bool read() const { return read_; }
-  // True if this source delivered any pixels that are not bit-exact: a
-  // concealed/tainted halo entry, or any read of a tainted reference frame.
-  bool tainted() const { return concealed_ || (read_ && ref_tainted_); }
-
- private:
-  const TileFrame* tf_;
-  const HaloCache* halo_;
-  HaloPolicy policy_;
-  bool ref_tainted_;
-  mutable bool read_ = false;
-  mutable bool concealed_ = false;
-};
+void TileRefSource::fetch_cell(int c, int mbx, int mby, int x, int y, int w,
+                               int h, uint8_t* dst, int stride) const {
+  if (tf_->contains_mb(mbx, mby)) {
+    copy_block(tf_->block(c, x, y, w, h), tf_->plane(c).stride(), dst, stride,
+               w, h);
+    return;
+  }
+  const HaloCache::Entry* e = halo_->find(mbx, mby);
+  if (e == nullptr) {
+    if (policy_ == HaloPolicy::kStrict) {
+      PDW_CHECK(e != nullptr)
+          << "missing halo macroblock (" << mbx << "," << mby << ") plane "
+          << c << " — MEI pre-calculation incomplete";
+    }
+    concealed_ = true;
+    for (int r = 0; r < h; ++r)
+      std::memset(dst + size_t(r) * stride, 128, size_t(w));
+    return;
+  }
+  if (e->tainted) concealed_ = true;
+  const int edge = c == 0 ? 16 : 8;
+  const uint8_t* base = c == 0 ? e->px.y : (c == 1 ? e->px.cb : e->px.cr);
+  copy_block(base + (y - mby * edge) * edge + (x - mbx * edge), edge, dst,
+             stride, w, h);
+}
 
 // Stand-in for a reference frame that does not exist (lost to a skip or a
 // fresh adoption). All-gray; any actual read taints the output. If the
@@ -186,8 +165,11 @@ void TileDecoder::rebase(const wall::TileGeometry& geo) {
   rect_ = geo.tile_mbs(tile_);
   epoch_ = geo.epoch();
   // The scratch frame (if any) has the old rect; drop it so the next decode
-  // allocates in the new one. Reference frames stay — each carries its own
-  // rect, and the pending one still owes the wall a display emission.
+  // allocates in the new one — unless it is the last frame shown, which
+  // moves to held_ to stay displayable. Reference frames stay — each
+  // carries its own rect, and the pending one still owes the wall a display
+  // emission.
+  if (cur_ && cur_.get() == last_shown_) held_ = std::move(cur_);
   cur_.reset();
   halo_[0].clear();
   halo_[1].clear();
@@ -247,10 +229,7 @@ void TileDecoder::stage_conceal(const MeiInstruction& instr) {
 void TileDecoder::emit(const TileFrame& frame, const TileDisplayInfo& info,
                        const DisplayFn& display) {
   if (info.display_index < 0) return;  // slot before this decoder's stream
-  if (!last_shown_)
-    last_shown_ = std::make_unique<TileFrame>(frame);
-  else
-    *last_shown_ = frame;
+  last_shown_ = &frame;
   last_shown_epoch_ = info.epoch;
   if (display) display(frame, info);
 }
@@ -258,12 +237,14 @@ void TileDecoder::emit(const TileFrame& frame, const TileDisplayInfo& info,
 void TileDecoder::emit_frozen(int slot, const DisplayFn& display) {
   if (slot < 0) return;
   if (!last_shown_) {
-    // Nothing was ever shown: freeze to mid-gray.
-    last_shown_ =
+    // Nothing was ever shown (so held_ holds nothing anyone needs): freeze
+    // to mid-gray.
+    held_ =
         std::make_unique<TileFrame>(rect_.x0, rect_.y0, rect_.x1, rect_.y1);
-    last_shown_->y().fill(128);
-    last_shown_->cb().fill(128);
-    last_shown_->cr().fill(128);
+    held_->y().fill(128);
+    held_->cb().fill(128);
+    held_->cr().fill(128);
+    last_shown_ = held_.get();
     last_shown_epoch_ = epoch_;
   }
   TileDisplayInfo info;
@@ -282,6 +263,9 @@ void TileDecoder::decode(const SubPicture& sp, const DisplayFn& display) {
   ctx.ph.temporal_reference = sp.info.temporal_reference;
   ctx.pce = sp.info.to_pce();
 
+  // The scratch frame may still be the last one shown, which emit_frozen()
+  // can display again: park it in held_ and decode into the other frame.
+  if (cur_ && cur_.get() == last_shown_) std::swap(cur_, held_);
   // The reference rotation below recycles retired frames as scratch; after a
   // rebase a recycled frame still carries the previous epoch's rect.
   if (cur_ && (cur_->mb_x0() != rect_.x0 || cur_->mb_y0() != rect_.y0 ||

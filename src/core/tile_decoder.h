@@ -30,6 +30,7 @@
 #include "core/mei.h"
 #include "core/subpicture.h"
 #include "mpeg2/frame.h"
+#include "mpeg2/motion.h"
 #include "wall/geometry.h"
 
 namespace pdw::core {
@@ -63,6 +64,51 @@ class HaloCache {
     return (uint64_t(mby) << 32) | uint32_t(mbx);
   }
   std::unordered_map<uint64_t, Entry> map_;
+};
+
+// RefSource over a tile-local reference frame plus its halo of remote
+// macroblocks. Gathers a prediction window that may straddle local/remote
+// macroblocks arbitrarily. Same pixel values as the serial decoder's full
+// frame => identical MC arithmetic => bit-exact reconstruction.
+//
+// Fetch invariant: the same bytes FrameRefSource would copy, at the same
+// cost shape. A window inside the tile frame (nearly every one) is resolved
+// once and copied one memcpy per row at the plane stride. A window that
+// crosses the tile edge is cut at macroblock boundaries — at most 2x2 cells
+// for MC windows — and each cell's source (local rows, halo entry, or the
+// missing-halo policy) is resolved once per cell, never per row.
+//
+// Under HaloPolicy::kConceal a missing halo macroblock is filled with
+// mid-gray instead of aborting, and the source records that it concealed;
+// reading a tainted halo entry also marks the source. The decoder folds
+// these flags (together with whether the source was read at all) into the
+// reconstructed frame's taint bit.
+class TileRefSource final : public mpeg2::RefSource {
+ public:
+  TileRefSource(const mpeg2::TileFrame& tf, const HaloCache& halo,
+                HaloPolicy policy, bool ref_tainted)
+      : tf_(&tf), halo_(&halo), policy_(policy), ref_tainted_(ref_tainted) {}
+
+  void fetch(int c, int x, int y, int w, int h, uint8_t* dst,
+             int stride) const override;
+
+  bool read() const { return read_; }
+  // True if this source delivered any pixels that are not bit-exact: a
+  // concealed/tainted halo entry, or any read of a tainted reference frame.
+  bool tainted() const { return concealed_ || (read_ && ref_tainted_); }
+
+ private:
+  // Copy the part of the window that lies in macroblock cell (mbx, mby):
+  // global plane-c rect [x, x+w) x [y, y+h) into dst rows of `stride`.
+  void fetch_cell(int c, int mbx, int mby, int x, int y, int w, int h,
+                  uint8_t* dst, int stride) const;
+
+  const mpeg2::TileFrame* tf_;
+  const HaloCache* halo_;
+  HaloPolicy policy_;
+  bool ref_tainted_;
+  mutable bool read_ = false;
+  mutable bool concealed_ = false;
 };
 
 struct TileDisplayInfo {
@@ -147,7 +193,6 @@ class TileDecoder {
   int concealed_mbs_last_picture() const { return last_conceal_count_; }
 
  private:
-  class TileRefSource;
   class GrayRefSource;
 
   void emit(const mpeg2::TileFrame& frame, const TileDisplayInfo& info,
@@ -174,7 +219,12 @@ class TileDecoder {
                                // next reference trigger must emit a frozen
                                // frame to keep one-emission-per-slot
   int64_t last_pic_index_ = -1;
-  std::unique_ptr<mpeg2::TileFrame> last_shown_;
+  // The last displayed frame, kept by reference: it is one of cur_,
+  // ref_old_, ref_new_ or held_. Before decode() writes into cur_ while cur_
+  // is the one shown, it swaps cur_ with held_, so the shown frame lives on
+  // untouched in held_ and emit() never copies pixels.
+  const mpeg2::TileFrame* last_shown_ = nullptr;
+  std::unique_ptr<mpeg2::TileFrame> held_;
   uint32_t last_shown_epoch_ = 0;
   int last_mb_count_ = 0;
   size_t last_halo_count_ = 0;

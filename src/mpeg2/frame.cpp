@@ -24,23 +24,19 @@ double psnr(const Plane& a, const Plane& b) {
 MacroblockPixels TileFrame::extract_mb(int mbx, int mby) const {
   PDW_CHECK(contains_mb(mbx, mby));
   MacroblockPixels out;
-  for (int r = 0; r < 16; ++r)
-    std::memcpy(out.y + r * 16, pixel(0, mbx * 16, mby * 16 + r), 16);
-  for (int r = 0; r < 8; ++r) {
-    std::memcpy(out.cb + r * 8, pixel(1, mbx * 8, mby * 8 + r), 8);
-    std::memcpy(out.cr + r * 8, pixel(2, mbx * 8, mby * 8 + r), 8);
-  }
+  copy_block(block(0, mbx * 16, mby * 16, 16, 16), y_.stride(), out.y, 16, 16,
+             16);
+  copy_block(block(1, mbx * 8, mby * 8, 8, 8), cb_.stride(), out.cb, 8, 8, 8);
+  copy_block(block(2, mbx * 8, mby * 8, 8, 8), cr_.stride(), out.cr, 8, 8, 8);
   return out;
 }
 
 void TileFrame::insert_mb(int mbx, int mby, const MacroblockPixels& px) {
   PDW_CHECK(contains_mb(mbx, mby));
-  for (int r = 0; r < 16; ++r)
-    std::memcpy(pixel(0, mbx * 16, mby * 16 + r), px.y + r * 16, 16);
-  for (int r = 0; r < 8; ++r) {
-    std::memcpy(pixel(1, mbx * 8, mby * 8 + r), px.cb + r * 8, 8);
-    std::memcpy(pixel(2, mbx * 8, mby * 8 + r), px.cr + r * 8, 8);
-  }
+  copy_block(px.y, 16, block(0, mbx * 16, mby * 16, 16, 16), y_.stride(), 16,
+             16);
+  copy_block(px.cb, 8, block(1, mbx * 8, mby * 8, 8, 8), cb_.stride(), 8, 8);
+  copy_block(px.cr, 8, block(2, mbx * 8, mby * 8, 8, 8), cr_.stride(), 8, 8);
 }
 
 }  // namespace pdw::mpeg2

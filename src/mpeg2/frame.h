@@ -20,14 +20,22 @@
 
 namespace pdw::mpeg2 {
 
+// Copy a w x h block of bytes between two strided buffers, one memcpy per
+// row. The bounds are the caller's to check, once per block.
+inline void copy_block(const uint8_t* src, int src_stride, uint8_t* dst,
+                       int dst_stride, int w, int h) {
+  for (int r = 0; r < h; ++r)
+    std::memcpy(dst + size_t(r) * dst_stride, src + size_t(r) * src_stride,
+                size_t(w));
+}
+
 // A single 8-bit plane with row-major storage (stride == width).
 //
 // Storage comes from the geometry-keyed surface pool (mem/pool.h): a wall
 // run allocates the same plane sizes every picture, so after warm-up a
 // fresh Plane is a freelist pop, not a malloc. Value semantics are
 // preserved — copies are deep — and copy-assignment reuses the existing
-// block when the geometry matches (the per-emission `last_shown_` refresh
-// in the tile decoder becomes a memcpy into recycled storage).
+// block when the geometry matches.
 class Plane {
  public:
   Plane() = default;
@@ -64,6 +72,20 @@ class Plane {
 
   int width() const { return width_; }
   int height() const { return height_; }
+  int stride() const { return width_; }
+
+  // Pointer to pixel (x, y), after one check that the w x h block there lies
+  // inside the plane. Rows of the block follow at stride().
+  uint8_t* block(int x, int y, int w, int h) {
+    PDW_CHECK(x >= 0 && y >= 0 && w >= 0 && h >= 0 && x + w <= width_ &&
+              y + h <= height_)
+        << "block " << w << "x" << h << " at (" << x << "," << y
+        << ") outside " << width_ << "x" << height_ << " plane";
+    return data_.mutable_data() + size_t(y) * width_ + x;
+  }
+  const uint8_t* block(int x, int y, int w, int h) const {
+    return const_cast<Plane*>(this)->block(x, y, w, h);
+  }
 
   uint8_t* row(int y) {
     PDW_CHECK_GE(y, 0);
@@ -161,15 +183,25 @@ class TileFrame {
     return mbx >= mb_x0_ && mbx < mb_x1_ && mby >= mb_y0_ && mby < mb_y1_;
   }
 
+  Plane& plane(int c) { return c == 0 ? y_ : (c == 1 ? cb_ : cr_); }
+  const Plane& plane(int c) const {
+    return c == 0 ? y_ : (c == 1 ? cb_ : cr_);
+  }
+
   // Plane accessors in global picture coordinates (luma coords for plane 0,
   // chroma coords for planes 1/2).
-  uint8_t* pixel(int c, int gx, int gy) {
-    const int shift = c == 0 ? 0 : 1;
-    Plane& p = c == 0 ? y_ : (c == 1 ? cb_ : cr_);
-    return p.row(gy - (py0() >> shift)) + (gx - (px0() >> shift));
-  }
+  uint8_t* pixel(int c, int gx, int gy) { return block(c, gx, gy, 1, 1); }
   const uint8_t* pixel(int c, int gx, int gy) const {
-    return const_cast<TileFrame*>(this)->pixel(c, gx, gy);
+    return block(c, gx, gy, 1, 1);
+  }
+  // Pointer to global pixel (gx, gy) of plane c after one bounds check of the
+  // w x h block there; rows follow at plane(c).stride().
+  uint8_t* block(int c, int gx, int gy, int w, int h) {
+    const int shift = c == 0 ? 0 : 1;
+    return plane(c).block(gx - (px0() >> shift), gy - (py0() >> shift), w, h);
+  }
+  const uint8_t* block(int c, int gx, int gy, int w, int h) const {
+    return const_cast<TileFrame*>(this)->block(c, gx, gy, w, h);
   }
 
   // True if global luma-plane pixel rect [gx, gx+w) x [gy, gy+h) (scaled for

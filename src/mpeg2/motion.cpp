@@ -1,7 +1,5 @@
 #include "mpeg2/motion.h"
 
-#include <cstring>
-
 #include "kernels/kernels.h"
 
 namespace pdw::mpeg2 {
@@ -9,12 +7,7 @@ namespace pdw::mpeg2 {
 void FrameRefSource::fetch(int c, int x, int y, int w, int h, uint8_t* dst,
                            int stride) const {
   const Plane& p = frame_->plane(c);
-  PDW_CHECK_GE(x, 0);
-  PDW_CHECK_GE(y, 0);
-  PDW_CHECK_LE(x + w, p.width());
-  PDW_CHECK_LE(y + h, p.height());
-  for (int r = 0; r < h; ++r)
-    std::memcpy(dst + size_t(r) * stride, p.row(y + r) + x, size_t(w));
+  copy_block(p.block(x, y, w, h), p.stride(), dst, stride, w, h);
 }
 
 namespace {

@@ -49,22 +49,22 @@ void reconstruct_mb(const Macroblock& mb, const RefSource* fwd,
 }
 
 void store_mb(Frame* frame, int mbx, int mby, const MacroblockPixels& px) {
-  for (int r = 0; r < 16; ++r)
-    std::memcpy(frame->y.row(mby * 16 + r) + mbx * 16, px.y + r * 16, 16);
-  for (int r = 0; r < 8; ++r) {
-    std::memcpy(frame->cb.row(mby * 8 + r) + mbx * 8, px.cb + r * 8, 8);
-    std::memcpy(frame->cr.row(mby * 8 + r) + mbx * 8, px.cr + r * 8, 8);
-  }
+  Plane& y = frame->y;
+  Plane& cb = frame->cb;
+  Plane& cr = frame->cr;
+  copy_block(px.y, 16, y.block(mbx * 16, mby * 16, 16, 16), y.stride(), 16, 16);
+  copy_block(px.cb, 8, cb.block(mbx * 8, mby * 8, 8, 8), cb.stride(), 8, 8);
+  copy_block(px.cr, 8, cr.block(mbx * 8, mby * 8, 8, 8), cr.stride(), 8, 8);
 }
 
 MacroblockPixels load_mb(const Frame& frame, int mbx, int mby) {
+  const Plane& y = frame.y;
+  const Plane& cb = frame.cb;
+  const Plane& cr = frame.cr;
   MacroblockPixels px;
-  for (int r = 0; r < 16; ++r)
-    std::memcpy(px.y + r * 16, frame.y.row(mby * 16 + r) + mbx * 16, 16);
-  for (int r = 0; r < 8; ++r) {
-    std::memcpy(px.cb + r * 8, frame.cb.row(mby * 8 + r) + mbx * 8, 8);
-    std::memcpy(px.cr + r * 8, frame.cr.row(mby * 8 + r) + mbx * 8, 8);
-  }
+  copy_block(y.block(mbx * 16, mby * 16, 16, 16), y.stride(), px.y, 16, 16, 16);
+  copy_block(cb.block(mbx * 8, mby * 8, 8, 8), cb.stride(), px.cb, 8, 8, 8);
+  copy_block(cr.block(mbx * 8, mby * 8, 8, 8), cr.stride(), px.cr, 8, 8, 8);
   return px;
 }
 
