@@ -1,7 +1,8 @@
 // Codec micro-benchmarks (google-benchmark): the per-primitive costs that
 // make up t_s and t_d — IDCT, forward DCT, DCT coefficient VLC decode,
 // half-pel motion compensation, tile reference fetch, start-code scanning,
-// full-picture split and full-picture decode. The BM_Kernel* group runs each dispatched kernel at
+// full-picture split and full-picture decode — plus the transport's CRC-32,
+// run over every wire payload. The BM_Kernel* group runs each dispatched kernel at
 // every supported level (scalar/sse2/avx2), so the scalar-vs-SIMD speedup
 // per primitive reads directly off one report.
 #include <benchmark/benchmark.h>
@@ -23,6 +24,7 @@
 #include "mpeg2/motion.h"
 #include "mpeg2/recon.h"
 #include "mpeg2/tables.h"
+#include "net/fault.h"
 #include "video/generator.h"
 #include "wall/geometry.h"
 
@@ -165,6 +167,17 @@ void BM_FrameRefFetch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FrameRefFetch);
+
+// The reliable transport's CRC-32 over one 90 KiB body, about one 1080p
+// half-wall sub-picture.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> body(90 * 1024);
+  SplitMix64 rng(6);
+  for (auto& v : body) v = uint8_t(rng.next());
+  for (auto _ : state) benchmark::DoNotOptimize(net::crc32(body));
+  state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(body.size()));
+}
+BENCHMARK(BM_Crc32);
 
 void BM_StartCodeScan(benchmark::State& state) {
   const auto& es = test_stream();

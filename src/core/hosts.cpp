@@ -406,16 +406,16 @@ bool DecoderHost::pump(double timeout) {
   return true;
 }
 
-void DecoderHost::serve(const proto::DecoderNode::OwnedTile& ot, uint32_t i) {
-  proto::DecoderNode::SpState st;
-  {
-    PDW_TRACE_SPAN(obs::span::kRecvSp, self(), i);
-    while ((st = node.poll_sp(ot.tile, i)) ==
-               proto::DecoderNode::SpState::kPending &&
-           pump(heartbeat_interval_s)) {
-    }
+void DecoderHost::receive(const proto::DecoderNode::OwnedTile& ot,
+                          uint32_t i) {
+  PDW_TRACE_SPAN(obs::span::kRecvSp, self(), i);
+  while (node.poll_sp(ot.tile, i) == proto::DecoderNode::SpState::kPending &&
+         pump(heartbeat_interval_s)) {
   }
-  if (gone || st != proto::DecoderNode::SpState::kReady) return;
+}
+
+void DecoderHost::serve(const proto::DecoderNode::OwnedTile& ot, uint32_t i) {
+  if (!node.have_sp(ot.tile)) return;  // skipped
   PDW_TRACE_SPAN(obs::span::kServeSp, self(), i);
   WallTimer serve_timer;
   TileDecoder& d = dec(ot.tile);
@@ -521,25 +521,31 @@ void DecoderHost::work(const proto::DecoderNode::OwnedTile& ot, uint32_t i) {
 
 void DecoderHost::run(uint32_t total_pictures) {
   for (uint32_t i = 0; i < total_pictures && !gone; ++i) {
-    // Phase 1 first for every owned tile, so no owned tile's decode can
+    // Table 3 order: receive, ack, serve, wait, decode. Every owned tile
+    // receives and serves before any decodes, so no owned tile's decode can
     // starve another tile hosted on this same node. Indexed loops:
     // adoption may grow owned() mid-picture.
     for (size_t x = 0; x < node.owned().size() && !gone; ++x) {
       const proto::DecoderNode::OwnedTile ot = node.owned()[x];
-      if (node.tile_active(ot, i)) serve(ot, i);
+      if (node.tile_active(ot, i)) receive(ot, i);
     }
     if (gone) break;
+    // The ack goes on receipt to the splitter owning the NEXT picture (ANID
+    // redirection), which routes picture i + 1 while i decodes.
+    {
+      PDW_TRACE_SPAN(obs::span::kAckPic, self(), i);
+      emit(ep, shared, self(), node.ack_picture(i));
+    }
+    for (size_t x = 0; x < node.owned().size(); ++x) {
+      const proto::DecoderNode::OwnedTile ot = node.owned()[x];
+      if (node.tile_active(ot, i)) serve(ot, i);
+    }
     for (size_t x = 0; x < node.owned().size() && !gone; ++x) {
       const proto::DecoderNode::OwnedTile ot = node.owned()[x];
       if (node.tile_active(ot, i)) work(ot, i);
     }
     if (gone) break;
-    // Buffer GC plus the ack to the splitter owning the NEXT picture
-    // (ANID redirection).
-    {
-      PDW_TRACE_SPAN(obs::span::kAckPic, self(), i);
-      apply({node.finish_picture(i), {}, std::nullopt});
-    }
+    node.release_picture(i);
     queue_depth->set(node.pending_sps());
   }
 
@@ -549,7 +555,7 @@ void DecoderHost::run(uint32_t total_pictures) {
     apply({node.finished(), {}, std::nullopt});
   }
   shared.mark_done(shared.decoders_done);
-  // Our own unacked tail is last ack, finished notice and trailing
+  // Our own unacked tail is the last ack, finished notice and trailing
   // exchanges. Keep heartbeating until the finished notice is acked (the
   // root received it and exempted us from monitoring); then fall silent so
   // the fabric can reach quiescence for an orderly teardown.

@@ -175,7 +175,9 @@ struct DecoderHost {
   void apply(proto::DecoderNode::Step step);
   // Pump the transport once; returns false when this node is dead.
   bool pump(double timeout);
-  // Phase 1 for one tile: resolve the sub-picture and execute its MEI SENDs.
+  // Phase 1 for one tile: resolve the sub-picture (ready or skipped), then,
+  // after the picture's ack, execute its MEI SENDs.
+  void receive(const proto::DecoderNode::OwnedTile& ot, uint32_t i);
   void serve(const proto::DecoderNode::OwnedTile& ot, uint32_t i);
   // Phase 2 for one tile: collect the halos it still expects, then decode.
   void work(const proto::DecoderNode::OwnedTile& ot, uint32_t i);

@@ -1,7 +1,8 @@
 // Scalar reference kernels. This is the ground truth every SIMD level is
 // fuzz-tested against: the arithmetic here is the original (seed) hot-loop
 // code of idct.cpp / motion.cpp / recon.cpp / quant.cpp / motion_est.cpp,
-// moved behind the dispatch table verbatim.
+// moved behind the dispatch table verbatim, except that the IDCT's 181 * v
+// products wrap in unsigned arithmetic (mul181_round).
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -26,6 +27,13 @@ constexpr int32_t W7 = 565;
 
 inline int16_t clamp256(int32_t v) {
   return int16_t(std::clamp(v, -256, 255));
+}
+
+// (181 * v + 128) in 32-bit two's-complement wrap-around, the low 32 bits
+// the SIMD lanes compute (mullo + add). The IEEE-1180 extreme inputs push
+// 181 * v past INT32_MAX, which is undefined behaviour for signed int.
+inline int32_t mul181_round(int32_t v) {
+  return int32_t(uint32_t(v) * 181u + 128u);
 }
 
 // One row, 11-bit fixed point.
@@ -68,8 +76,8 @@ void idct_row(int16_t* blk) {
   x8 -= x3;
   x3 = x0 + x2;
   x0 -= x2;
-  x2 = (181 * (x4 + x5) + 128) >> 8;
-  x4 = (181 * (x4 - x5) + 128) >> 8;
+  x2 = mul181_round(x4 + x5) >> 8;
+  x4 = mul181_round(x4 - x5) >> 8;
 
   // Fourth stage.
   blk[0] = int16_t((x7 + x1) >> 8);
@@ -119,8 +127,8 @@ void idct_col(int16_t* blk) {
   x8 -= x3;
   x3 = x0 + x2;
   x0 -= x2;
-  x2 = (181 * (x4 + x5) + 128) >> 8;
-  x4 = (181 * (x4 - x5) + 128) >> 8;
+  x2 = mul181_round(x4 + x5) >> 8;
+  x4 = mul181_round(x4 - x5) >> 8;
 
   blk[8 * 0] = clamp256((x7 + x1) >> 14);
   blk[8 * 1] = clamp256((x3 + x2) >> 14);

@@ -1,34 +1,50 @@
 #include "net/fault.h"
 
 #include <algorithm>
+#include <array>
 
+#include "common/bytes.h"
 #include "common/stats.h"
 
 namespace pdw::net {
 
 namespace {
 
-// Table-driven CRC-32 (IEEE, reflected), table built on first use.
-const uint32_t* crc_table() {
-  static const auto table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
+// Slicing-by-8 tables for CRC-32 (IEEE, reflected). kCrc[0] is the
+// classic bytewise table; kCrc[j][b] is the CRC register after byte b
+// followed by j zero bytes, so eight table lookups advance eight bytes.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (size_t j = 1; j < 8; ++j)
+    for (size_t i = 0; i < 256; ++i)
+      t[j][i] = (t[j - 1][i] >> 8) ^ t[0][t[j - 1][i] & 0xFFu];
+  return t;
 }
+
+constexpr CrcTables kCrc = make_crc_tables();
 
 }  // namespace
 
 uint32_t crc32(std::span<const uint8_t> data) {
-  const uint32_t* t = crc_table();
   uint32_t c = 0xFFFFFFFFu;
-  for (uint8_t b : data) c = t[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = load_le32(p) ^ c;
+    const uint32_t hi = load_le32(p + 4);
+    c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
+        kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24] ^
+        kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+        kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = kCrc[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -20,8 +20,9 @@
 
 namespace pdw::net {
 
-// CRC-32 (IEEE 802.3 polynomial, reflected). Used by the reliable transport
-// to detect payload corruption end-to-end.
+// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: eight bytes per
+// step, same value as the bytewise definition. Used by the reliable
+// transport to detect payload corruption end-to-end.
 uint32_t crc32(std::span<const uint8_t> data);
 
 // Per-message fault probabilities, decided independently per transmission

@@ -497,15 +497,26 @@ std::vector<ExchangeMsg> DecoderNode::take_exchanges(int tile, uint32_t pic) {
   return out;
 }
 
-std::vector<Outgoing> DecoderNode::finish_picture(uint32_t pic) {
+Outgoing DecoderNode::ack_picture(uint32_t pic) {
+  for (const OwnedTile& ot : owned_) {
+    if (!tile_active(ot, pic)) continue;
+    const auto it = scratch_.find(ot.tile);
+    PDW_CHECK(it != scratch_.end() && it->second.pic == int64_t(pic) &&
+              (it->second.have_sp || it->second.skip))
+        << "ack of picture " << pic << " before tile " << ot.tile
+        << " resolved it";
+  }
+  GoAheadAck ack;
+  ack.pic_index = pic;
+  if (m_acks_sent_) m_acks_sent_->add();
+  return Outgoing{topo_.ack_target(pic), true, pack(ack)};
+}
+
+void DecoderNode::release_picture(uint32_t pic) {
   sps_.erase(sps_.begin(), sps_.lower_bound(key(0, pic + 1)));
   exchanges_.erase(exchanges_.begin(),
                    exchanges_.lower_bound(key(0, pic + 1)));
   skips_.erase(skips_.begin(), skips_.lower_bound(key(0, pic + 1)));
-  GoAheadAck ack;
-  ack.pic_index = pic;
-  if (m_acks_sent_) m_acks_sent_->add();
-  return {Outgoing{topo_.ack_target(pic), true, pack(ack)}};
 }
 
 std::vector<Outgoing> DecoderNode::finished() const {

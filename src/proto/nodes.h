@@ -16,7 +16,7 @@
 //                    unadopted or skipped peer sends nothing), exchange
 //                    routing (drop / local co-hosted delivery / remote),
 //                    tile adoption, heartbeat emission and the ANID-
-//                    redirected per-picture ack.
+//                    redirected per-picture ack, sent on receipt.
 //
 // The machines are event-driven and pure with respect to transport and
 // compute: on_message(src, msg, now) consumes one typed wire message and
@@ -52,7 +52,10 @@ namespace pdw::proto {
 //     the next picture;
 //   * a decoder acks picture i not to its sender but to the NSID splitter
 //     (ANID redirection), which therefore cannot dispatch picture i + 1
-//     until every live decoder consumed picture i.
+//     until every live decoder received picture i. The ack goes out on
+//     receipt (Table 3: receive, ack, serve, wait, decode), so the splitter
+//     routes picture i + 1 while picture i decodes: one picture of
+//     lookahead, within the two posted receive buffers.
 struct Topology {
   int k = 1;      // second-level splitters
   int tiles = 1;  // tile decoders
@@ -430,9 +433,13 @@ class DecoderNode {
   bool halos_complete(int tile, uint32_t pic) const;
   std::vector<ExchangeMsg> take_exchanges(int tile, uint32_t pic);
 
-  // Per-picture epilogue: garbage-collect buffers at or below `pic` and ack
-  // to the splitter owning the next picture (ANID redirection).
-  std::vector<Outgoing> finish_picture(uint32_t pic);
+  // The ANID-redirected ack of `pic` to the splitter owning the next
+  // picture. Sent on receipt: once poll_sp resolved (ready or skipped) every
+  // owned tile active at `pic`, before any of them decodes.
+  Outgoing ack_picture(uint32_t pic);
+  // Per-picture epilogue after decode: drop buffered sub-pictures,
+  // exchanges and skips at or below `pic`. Emits nothing.
+  void release_picture(uint32_t pic);
 
   // End-of-stream notice for the root (stop monitoring this node).
   std::vector<Outgoing> finished() const;

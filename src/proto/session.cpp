@@ -228,14 +228,19 @@ void SerialStream::step(const DisplayFn& on_display, const TraceFn& on_trace) {
     }
   }
 
-  // Serve phase: every tile executes its SEND instructions and the halo
-  // exchanges flow, all before any decode starts (in the real system the ack
-  // protocol guarantees reference data is already decoded).
+  // Serve phase, in Table 3 order: every tile receives its sub-picture,
+  // acks it (ANID-redirected, on receipt), executes its SEND instructions
+  // and the halo exchanges flow, all before any decode starts (in the real
+  // system the ack protocol guarantees reference data is already decoded).
   for (int d = 0; d < tiles; ++d) {
     DecoderHost& h = *decoders_[size_t(d)];
     const DecoderNode::SpState st = h.node.poll_sp(d, i);
+    PDW_CHECK(st != DecoderNode::SpState::kPending);  // the bus never lags
+    {
+      PDW_TRACE_SPAN(obs::span::kAckPic, topo_.decoder(d), i);
+      deliver(topo_.decoder(d), h.node.ack_picture(i));
+    }
     if (st == DecoderNode::SpState::kSkipped) continue;
-    PDW_CHECK(st == DecoderNode::SpState::kReady);  // the bus never lags
     core::TileDecoder& dec = h.dec(d, egeo, root_.stream_info());
     const SpMsg& sp = h.node.sp(d);
     std::map<int, ExchangeMsg> out;  // by destination tile
@@ -313,12 +318,8 @@ void SerialStream::step(const DisplayFn& on_display, const TraceFn& on_trace) {
           uint64_t(dec.concealed_mbs_last_picture()));
   }
 
-  // Per-picture epilogue: buffer GC plus the ANID-redirected ack.
-  for (int d = 0; d < tiles; ++d) {
-    PDW_TRACE_SPAN(obs::span::kAckPic, topo_.decoder(d), i);
-    for (const Outgoing& o : decoders_[size_t(d)]->node.finish_picture(i))
-      deliver(topo_.decoder(d), o);
-  }
+  // Per-picture epilogue: buffer GC.
+  for (int d = 0; d < tiles; ++d) decoders_[size_t(d)]->node.release_picture(i);
 
   if (on_trace) on_trace(tr);
 }

@@ -65,8 +65,8 @@ class SerialStream {
   int picture_count() const;
   bool done() const { return int(cursor_) >= picture_count(); }
 
-  // Advance one picture end to end: dispatch -> split -> serve/exchange ->
-  // decode -> ack. Either callback may be null.
+  // Advance one picture end to end: dispatch -> split -> receive/ack ->
+  // serve/exchange -> decode -> buffer GC. Either callback may be null.
   void step(const DisplayFn& on_display, const TraceFn& on_trace);
 
   // End-of-stream protocol: flush every tile decoder and run the

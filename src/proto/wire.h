@@ -92,7 +92,7 @@ struct SpMsg {
 };
 
 // Decoder -> splitter (ANID redirection) and splitter -> root (go-ahead):
-// "picture pic_index is consumed; the next one may flow".
+// "picture pic_index is received; the next one may flow".
 struct GoAheadAck {
   uint32_t pic_index = 0;
   uint8_t stream = 0;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <span>
 #include <thread>
 
 #include "net/fabric.h"
@@ -238,6 +239,36 @@ TEST(Crc32, DetectsCorruption) {
   // Known-answer check: CRC-32 of "123456789" is 0xCBF43926.
   const uint8_t kCheck[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc32(kCheck), 0xCBF43926u);
+}
+
+// CRC-32 (IEEE, reflected) straight from its definition, a byte at a time
+// and a bit at a time: the reference the sliced implementation must equal.
+uint32_t crc32_bytewise(std::span<const uint8_t> data) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (const uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBytewiseDefinitionAtEveryLengthAndAlignment) {
+  uint32_t x = 0x12345678u;
+  const auto random_bytes = [&](size_t n) {
+    std::vector<uint8_t> v(n);
+    for (uint8_t& b : v) b = uint8_t((x = x * 1664525u + 1013904223u) >> 24);
+    return v;
+  };
+  const std::vector<uint8_t> buf = random_bytes(8 + 300);
+  for (size_t off = 0; off < 8; ++off)
+    for (size_t len = 0; len <= 300; ++len) {
+      const std::span<const uint8_t> s(buf.data() + off, len);
+      ASSERT_EQ(crc32(s), crc32_bytewise(s)) << "offset " << off << " length "
+                                             << len;
+    }
+  // One 90 KiB body, about a 1080p half-wall sub-picture.
+  const std::vector<uint8_t> body = random_bytes(90 * 1024);
+  EXPECT_EQ(crc32(body), crc32_bytewise(body));
 }
 
 TEST(Reliable, AbandonedHoleIsSkippedAfterTimeout) {

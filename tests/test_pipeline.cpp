@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <thread>
+#include <type_traits>
 
 #include "core/hosts.h"
+#include "core/lockstep.h"
 #include "core/pipeline.h"
 #include "core/socket_wall.h"
 #include "enc/encoder.h"
@@ -257,6 +260,108 @@ TEST(WallTeardown, SplitterReturnsOnceTheFabricShutsDown) {
   fabric.shutdown();
   host.run();  // no picture and no end of stream will ever arrive
   EXPECT_EQ(shared.splitters_done.load(), 1);
+}
+
+// Table 3 order, sans-io: a decoder acks picture i once its sub-picture is
+// resolved (ready or skipped), to the splitter owning picture i + 1 (ANID
+// redirection), and the post-decode buffer GC emits nothing.
+TEST(AckOrder, AckOnReceiptGoesToTheAnidSplitterAndReleaseEmitsNothing) {
+  const proto::Topology topo{3, 2};
+  proto::DecoderNode::Options opts;
+  opts.total_pictures = 8;
+  proto::DecoderNode node(topo, /*home_tile=*/0, opts);
+  static_assert(std::is_void_v<decltype(node.release_picture(0))>);
+  const auto sp = [](uint32_t pic) {
+    proto::SpMsg m;
+    m.pic_index = pic;
+    m.tile = 0;
+    return proto::AnyMsg(std::move(m));
+  };
+
+  // Nothing resolved yet: acking now would release the next picture early.
+  EXPECT_THROW(node.ack_picture(0), InternalError);
+
+  node.on_message(topo.splitter(0), sp(0), 0.0);
+  for (uint32_t i = 0; i < 6; ++i) {
+    // One picture of lookahead: picture i + 1 may already be buffered (a
+    // skip on odd pictures) while picture i is acked and decoded.
+    if ((i + 1) % 2 == 1) {
+      proto::SkipBroadcast skip;
+      skip.pic_index = i + 1;
+      skip.tile = 0;
+      node.on_message(topo.splitter(topo.splitter_for_picture(i + 1)), skip,
+                      0.0);
+    } else {
+      node.on_message(topo.splitter(topo.splitter_for_picture(i + 1)),
+                      sp(i + 1), 0.0);
+    }
+    EXPECT_EQ(node.poll_sp(0, i), i % 2 == 0
+                                      ? proto::DecoderNode::SpState::kReady
+                                      : proto::DecoderNode::SpState::kSkipped);
+    const proto::Outgoing ack = node.ack_picture(i);
+    EXPECT_EQ(ack.dst, topo.ack_target(i));
+    EXPECT_EQ(ack.dst, topo.splitter(topo.splitter_for_picture(i + 1)));
+    EXPECT_TRUE(ack.reliable);
+    ASSERT_EQ(ack.msg.type, proto::MsgType::kGoAheadAck);
+    proto::GoAheadAck decoded;
+    ASSERT_TRUE(proto::decode(ack.msg.body.span(), &decoded));
+    EXPECT_EQ(decoded.pic_index, i);
+
+    node.release_picture(i);
+    // The lookahead sub-picture survives the GC of picture i.
+    EXPECT_EQ(node.pending_sps(), (i + 1) % 2 == 0 ? 1 : 0) << "picture " << i;
+  }
+}
+
+// Table 3 order on the running wall: tile 0 acks picture p on receipt, so
+// the splitter routes sub-picture p + 1 while tile 0 is still inside
+// decode(p). The display callback (called from inside decode) holds tile 0
+// until the splitter's sp_bytes_sent counter covers sub-picture p + 1; the
+// cumulative per-picture sizes come from a lockstep run of the same stream
+// (the engines' counters are equal, see test_parallel_equivalence). With the
+// ack after decode that sub-picture is never sent while tile 0 is held, and
+// the wait times out. One tile, so the display mutex the callback holds
+// blocks no other decoder.
+TEST(AckOrder, SplitterRoutesTheNextSubPictureWhileATileDecodes) {
+  const int w = 256, h = 192;
+  const auto es = make_stream(w, h, 6);
+  const wall::TileGeometry geo(w, h, 1, 1, 0);
+
+  std::vector<uint64_t> sp_bytes_through;  // cumulative through picture i
+  obs::MetricsRegistry lockstep_reg;
+  core::LockstepPipeline(geo, 1, es, &lockstep_reg)
+      .run(nullptr, [&](const proto::PictureTrace& tr) {
+        sp_bytes_through.push_back(
+            (sp_bytes_through.empty() ? 0 : sp_bytes_through.back()) +
+            tr.sp_msg_bytes[0]);
+      });
+
+  obs::MetricsRegistry reg;
+  core::FtOptions ft;
+  ft.metrics = &reg;
+  ClusterPipeline pipeline(geo, 1, es, ft);
+  const obs::Counter& decoded = reg.counter(
+      obs::family::kPicturesDecoded, obs::Labels{pipeline.decoder_node(0), 0});
+  const obs::Counter& sp_sent = reg.counter(
+      obs::family::kSpBytesSent, obs::Labels{pipeline.splitter_node(0), 0});
+  int held = -1;
+  bool routed = false;
+  pipeline.run([&](int, const mpeg2::TileFrame&, const TileDisplayInfo&) {
+    if (held >= 0) return;
+    held = int(decoded.value());  // pictures done: tile 0 is in decode(held)
+    if (size_t(held) + 1 >= sp_bytes_through.size()) return;
+    const uint64_t target = sp_bytes_through[size_t(held) + 1];
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!(routed = sp_sent.value() >= target) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+  });
+  ASSERT_GE(held, 0);
+  ASSERT_LT(size_t(held) + 1, sp_bytes_through.size());
+  EXPECT_TRUE(routed) << "sub-picture " << held + 1
+                      << " was not routed while tile 0 decoded picture "
+                      << held;
 }
 
 }  // namespace
